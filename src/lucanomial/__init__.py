@@ -2,6 +2,7 @@
 Wolstenholme-type congruences modulo p^3, p^5 and p^6 for arbitrary (P, Q)."""
 
 from .binomial import (
+    Cell,
     ConventionViolation,
     LucanomialValue,
     NonIntegralError,
@@ -46,6 +47,7 @@ from .theorems import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "Cell",
     "CongruenceReport",
     "ConventionViolation",
     "LucanomialValue",

@@ -21,6 +21,7 @@ __all__ = [
     "ConventionViolation",
     "LucanomialValue",
     "ValuedResidue",
+    "Cell",
     "generalized_binomial",
     "lucanomial_exact",
     "lucanomial_residue",
@@ -181,24 +182,97 @@ def zero_cancellations(params: LucasParams, m: int, n: int) -> int:
     return min(above, below)
 
 
-def _u_window_mod(params: LucasParams, n_max: int, modulus: int) -> list[int]:
-    us = [0, 1 % modulus]
-    P, Q = params.P % modulus, params.Q % modulus
-    while len(us) <= n_max:
-        us.append((P * us[-1] - Q * us[-2]) % modulus)
-    return us
+class Cell:
+    """Rank-path residue context for one (P, Q, p): binom(m, n)_U mod p^j for
+    every 0 <= m <= m_max and 1 <= j <= k in constant time.
+
+    Holds the ladder of ranks of p, p^2, ..., and, over the nonzero terms
+    U_1 .. U_t, prefix products of their units (U_t stripped of its powers
+    of p, mod p^k) and prefix sums of their valuations, all from one
+    recurrence pass mod p^(k + the largest valuation).  A Lucanomial is then
+    a ratio of prefix entries, the analogue of a factorial quotient.  Needs
+    p coprime to 2QD.
+    """
+
+    def __init__(self, params: LucasParams, p: int, m_max: int, k: int) -> None:
+        if k < 1:
+            raise ValueError("precision k must be positive")
+        if p == 2 or not is_prime(p):
+            raise ValueError("p must be an odd prime")
+        if (2 * params.Q * params.D) % p == 0:
+            raise ValueError("rank path requires p coprime to 2QD")
+        if m_max < 0:
+            raise ValueError("indices must be nonnegative")
+        self.params, self.p, self.m_max, self.k = params, p, m_max, k
+        zp = params.zero_period
+        # Each rung is a multiple of the one before, so counting the rungs
+        # that divide t gives v_p(U_t) for every nonzero term within range.
+        vals = [0] * (m_max + 1)
+        for r in rank_ladder(params, p, m_max):
+            for t in range(r, m_max + 1, r):
+                vals[t] += 1
+        nonzero = [zp is None or t % zp != 0 for t in range(m_max + 1)]
+        # Stripping p^v from a term costs v digits: leave room for the largest.
+        v_max = max((v for v, nz in zip(vals[1:], nonzero[1:]) if nz), default=0)
+        modulus, pk = p ** (k + v_max), p**k
+        P, Q = params.P % modulus, params.Q % modulus
+        prefix, vsum = [1] * (m_max + 1), [0] * (m_max + 1)
+        u_prev, u = 0, 1 % modulus
+        for t in range(1, m_max + 1):
+            if nonzero[t]:
+                prefix[t] = prefix[t - 1] * (u // p ** vals[t] % pk) % pk
+                vsum[t] = vsum[t - 1] + vals[t]
+            else:  # zero terms cancel in pairs and carry nothing
+                prefix[t], vsum[t] = prefix[t - 1], vsum[t - 1]
+            u_prev, u = u, (P * u - Q * u_prev) % modulus
+        self._prefix, self._vsum = prefix, vsum
+
+    def residue(self, m: int, n: int, j: int) -> ValuedResidue:
+        """binom(m, n)_U mod p^j as (valuation, unit mod p^j), for j <= k."""
+        if not 1 <= j <= self.k:
+            raise ValueError(f"precision {j} outside 1..{self.k}")
+        if m < 0 or n < 0:
+            raise ValueError("indices must be nonnegative")
+        if m > self.m_max:
+            raise ValueError(f"index {m} beyond the cell's m_max = {self.m_max}")
+        p, pj = self.p, self.p**j
+        if n == 0:
+            return ValuedResidue(p, j, 0, 1 % pj)
+        if m < n:
+            return ValuedResidue.exact_zero(p, j)
+        zp = self.params.zero_period
+        if zp is not None:
+            above, below = m // zp - (m - n) // zp, n // zp
+            if below > above:
+                raise ConventionViolation("zero factors left in the denominator")
+            if above > below:
+                return ValuedResidue.exact_zero(p, j)
+        prefix, vsum = self._prefix, self._vsum
+        v = vsum[m] - vsum[m - n] - vsum[n]
+        if v < 0:
+            raise NonIntegralError("negative p-adic valuation in a Lucanomial")
+        bottom = prefix[m - n] * prefix[n] % pj
+        return ValuedResidue(p, j, v, prefix[m] * pow(bottom, -1, pj) % pj)
 
 
 def lucanomial_residue(
-    params: LucasParams, m: int, n: int, p: int, k: int, method: str = "auto"
+    params: LucasParams,
+    m: int,
+    n: int,
+    p: int,
+    k: int,
+    method: str = "auto",
+    cell: Cell | None = None,
 ) -> ValuedResidue:
     """Residue of binom(m, n)_U mod p^k as (valuation, unit mod p^k).
 
     The "rank" path needs p coprime to 2QD: each factor's valuation is read
     off the ranks of p, p^2, ... and its unit from one recurrence pass mod
-    p^(k + v_max).  The "exact" path builds the integer value and strips
-    powers of p; it works for any odd prime p not dividing Q.  "auto" picks
-    the rank path whenever it is allowed.  Both paths agree exactly.
+    p^(k + v_max).  It is answered by `cell` when one is given (a Cell of
+    the same params and p with m <= m_max and k within its precision), else
+    by a one-shot Cell.  The "exact" path builds the integer value and
+    strips powers of p; it works for any odd prime p not dividing Q.  "auto"
+    picks the rank path whenever it is allowed.  Both paths agree exactly.
     """
     if k < 1:
         raise ValueError("precision k must be positive")
@@ -221,41 +295,11 @@ def lucanomial_residue(
         return ValuedResidue.from_integer(lucanomial_exact(params, m, n).value, p, k)
     if (2 * params.Q * params.D) % p == 0:
         raise ValueError("rank path requires p coprime to 2QD")
-
-    zp = params.zero_period
-    num = [t for t in range(m - n + 1, m + 1) if zp is None or t % zp]
-    den = [t for t in range(1, n + 1) if zp is None or t % zp]
-    if len(den) < len(num):  # more zeros below than above
-        raise ConventionViolation("zero factors left in the denominator")
-    if len(num) < len(den):
-        return ValuedResidue.exact_zero(p, k)
-
-    ladder = rank_ladder(params, p, m)
-
-    def valuation(t: int) -> int:
-        v = 0
-        for r in ladder:
-            if t % r:
-                break
-            v += 1
-        return v
-
-    vals_num = [valuation(t) for t in num]
-    vals_den = [valuation(t) for t in den]
-    v = sum(vals_num) - sum(vals_den)
-    if v < 0:
-        raise NonIntegralError("negative p-adic valuation in a Lucanomial")
-    # Dividing a factor by p^vt costs vt digits; compute the window with the
-    # worst case of extra headroom so every stripped unit is exact mod p^k.
-    extra = max(vals_num + vals_den)
-    us = _u_window_mod(params, m, p ** (k + extra))
-    top = 1
-    for t, vt in zip(num, vals_num):
-        top = top * ((us[t] // p**vt) % pk) % pk
-    bottom = 1
-    for t, vt in zip(den, vals_den):
-        bottom = bottom * ((us[t] // p**vt) % pk) % pk
-    return ValuedResidue(p, k, v, top * pow(bottom, -1, pk) % pk)
+    if cell is None:
+        cell = Cell(params, p, m, k)
+    elif cell.p != p or cell.params != params:
+        raise ValueError("cell belongs to another (P, Q, p)")
+    return cell.residue(m, n, k)
 
 
 def integrality_sweep(params: LucasParams, m_max: int) -> bool:

@@ -2,7 +2,7 @@
 sum tables, and JSON/CSV/text report export.
 
 Exit codes: 0 when every checked congruence holds, 1 when any counterexample
-or per-case error was recorded, 2 on usage errors.
+or per-case error was recorded, 2 on usage errors and IO failures.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import NoReturn
 
 from .binomial import lucanomial_residue
 from .lucas import LucasParams
@@ -120,7 +121,23 @@ def _cross_check_reports(params_list, p_min, p_max, count, seed) -> list[Congrue
     return reports
 
 
-def _emit_records(reports, fmt, out_path) -> None:
+def _fail(parser, message: str) -> NoReturn:
+    """Exit 2 with a one-line message: a usage or IO failure, not a counterexample."""
+    parser.exit(2, f"{parser.prog}: error: {message}\n")
+
+
+def _write(text: str, out_path, parser) -> None:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail(parser, f"cannot write {out_path}: {exc.strerror or exc}")
+
+
+def _emit_records(reports, fmt, out_path, parser) -> None:
     records = [r.to_record() for r in reports]
     if fmt == "json":
         text = json.dumps({"records": records}, indent=2) + "\n"
@@ -133,11 +150,7 @@ def _emit_records(reports, fmt, out_path) -> None:
         text = buf.getvalue()
     else:
         text = _text_report(reports)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out_path, parser)
 
 
 def _text_report(reports) -> str:
@@ -198,7 +211,7 @@ def _run_verify(args, parser) -> int:
         reports += _cross_check_reports(
             params_list, args.pmin, args.pmax, args.cross_check, args.seed
         )
-    _emit_records(reports, args.format, args.out)
+    _emit_records(reports, args.format, args.out, parser)
     if args.format != "text" or args.out:
         print(_summary(reports), file=sys.stderr)
     return 0 if all(r.holds for r in reports) else 1
@@ -208,7 +221,7 @@ def _run_search(args, parser) -> int:
     params_list = _params_list(args, parser)
     rows = []
     for params in params_list:
-        for p in primes_in_range(args.pmin, args.pmax):
+        for p in primes_in_range(max(args.pmin, 3), args.pmax):
             if params.Q % p == 0:
                 continue
             info = rank_of_appearance(params, p, exponents=args.exponents)
@@ -244,11 +257,7 @@ def _run_search(args, parser) -> int:
             )
             + f"\nfound={len(rows)}\n"
         )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out, parser)
     return 0
 
 
@@ -261,7 +270,7 @@ def _run_lemmas(args, parser) -> int:
     ]
     cells = _map_cells(_lemma_cell, tasks, args.jobs)
     reports = [r for cell in cells for r in cell]
-    _emit_records(reports, args.format, args.out)
+    _emit_records(reports, args.format, args.out, parser)
     if args.format != "text" or args.out:
         print(_summary(reports), file=sys.stderr)
     return 0 if all(r.holds for r in reports) else 1
@@ -272,7 +281,12 @@ def _run_table(args, parser) -> int:
     if len(params_list) != 1:
         parser.error("table needs a single --P/--Q pair")
     params = params_list[0]
-    rank = rank_of_appearance(params, args.p)
+    if args.precision < 1:
+        _fail(parser, "--precision must be positive")
+    try:
+        rank = rank_of_appearance(params, args.p)
+    except ValueError as exc:  # p not an odd prime, or p divides Q
+        _fail(parser, f"--p {args.p}: {exc}")
     table = compute_sums(params, rank, args.precision)
     entries = {f"S{nu}": table.power[nu] for nu in range(len(table.power))}
     entries.update(
@@ -298,11 +312,7 @@ def _run_table(args, parser) -> int:
     else:
         head = f"P={params.P} Q={params.Q} p={table.p} rho={table.rho} mod p^{table.k}\n"
         text = head + "".join(f"{k} = {v}\n" for k, v in entries.items())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out, parser)
     return 0
 
 

@@ -29,16 +29,17 @@ class LucasParams:
     P: int
     Q: int
     D: int = field(init=False, compare=False)
+    zero_period: int | None = field(init=False, compare=False)
     degenerate: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.Q == 0:
             raise ValueError("Q must be nonzero")
         object.__setattr__(self, "D", self.P * self.P - 4 * self.Q)
+        object.__setattr__(self, "zero_period", self._zero_period())
         object.__setattr__(self, "degenerate", self.zero_period is not None)
 
-    @property
-    def zero_period(self) -> int | None:
+    def _zero_period(self) -> int | None:
         """Least n >= 1 with U_n = 0, or None when all positive-index terms are nonzero.
 
         Zero terms occur only when the root ratio of x^2 - Px + Q is a root of

@@ -95,14 +95,16 @@ class RankInfo:
 
 
 def _prime_power_rank(params: LucasParams, p: int, a: int, rho_prev: int) -> int:
-    # p^a | U_t iff rank(p^a) | t, so only multiples of rank(p^(a-1)) can work;
-    # the law of repetition keeps the answer within p * rho_prev.
+    # p^a | U_t iff rank(p^a) | t, so rank(p^(a-1)) divides rank(p^a); and by
+    # Lucas's law of repetition (p odd, p not dividing Q) p^a | U_{p rho_prev},
+    # so rank(p^a) divides p * rho_prev.  The ratio divides the prime p: it is
+    # 1 or p, and those two multiples are the only ones worth probing.
     mod = p**a
-    for j in range(1, p + 1):
+    for j in (1, p):
         u, _ = lucas_uv_mod(params, j * rho_prev, mod)
         if u == 0:
             return j * rho_prev
-    raise ArithmeticError(f"no rank of {p}^{a} among the first {p} multiples of {rho_prev}")
+    raise ArithmeticError(f"no rank of {p}^{a} at {rho_prev} or {p} * {rho_prev}")
 
 
 def rank_of_appearance(params: LucasParams, p: int, exponents: int = 1) -> RankInfo:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .binomial import generalized_binomial, lucanomial_residue, zero_cancellations
+from .binomial import Cell, generalized_binomial, lucanomial_residue, zero_cancellations
 from .lucas import LucasParams, lucas_term, lucas_uv_mod
 from .ranks import (
     NonMaximalRankError,
@@ -53,13 +53,14 @@ def _sign_mod(exponent: int, modulus: int) -> int:
 
 
 def verify_wolstenholme(
-    params: LucasParams, p: int, k: int, rank: RankInfo | None = None
+    params: LucasParams, p: int, k: int, rank: RankInfo | None = None, cell: Cell | None = None
 ) -> CongruenceReport:
     """Check binom((k+1)rho - 1, rho - 1)_U = (-1)^(k eps) * Q^(k rho (rho-1)/2) mod p^3.
 
     Needs p >= 5 of maximal rank, p not dividing Q, k >= 0.  Also requires the
     left side to equal the k-th power of the k = 1 left side mod p^3, which
-    ties the whole family to its base case.
+    ties the whole family to its base case.  A `cell` for (params, p) with
+    m_max >= (k+1) rho - 1 answers both left sides.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -67,9 +68,9 @@ def verify_wolstenholme(
     rho, eps = rank.rho, rank.epsilon
     modulus = p**3
     m, n = (k + 1) * rho - 1, rho - 1
-    lhs = lucanomial_residue(params, m, n, p, 3).residue()
+    lhs = lucanomial_residue(params, m, n, p, 3, cell=cell).residue()
     rhs = _sign_mod(k * eps, modulus) * pow(params.Q, k * rho * (rho - 1) // 2, modulus) % modulus
-    base = lucanomial_residue(params, 2 * rho - 1, rho - 1, p, 3).residue()
+    base = lucanomial_residue(params, 2 * rho - 1, rho - 1, p, 3, cell=cell).residue()
     error = None if pow(base, k, modulus) == lhs else "k-th power of the base case disagrees"
     return CongruenceReport(
         "N",
@@ -100,7 +101,12 @@ def _block_terms(params: LucasParams, rho: int, upto: int) -> tuple[list[int], l
 
 
 def verify_ljunggren(
-    params: LucasParams, p: int, k: int, l: int, rank: RankInfo | None = None
+    params: LucasParams,
+    p: int,
+    k: int,
+    l: int,
+    rank: RankInfo | None = None,
+    cell: Cell | None = None,
 ) -> CongruenceReport:
     """Check the block congruence mod p^3 for binom(k rho, l rho)_U:
 
@@ -109,7 +115,8 @@ def verify_ljunggren(
 
     with U' the sequence of U-terms at multiples of rho (scaled form
     U_rho * U(V_rho, Q^rho); when U_rho != 0 the unscaled form must agree and
-    both are evaluated).  Needs p >= 5 of maximal rank and k >= l >= 0.
+    both are evaluated).  Needs p >= 5 of maximal rank and k >= l >= 0.  A
+    `cell` for (params, p) with m_max >= k rho answers the left side.
     """
     if l < 0 or k < l:
         raise ValueError("need k >= l >= 0")
@@ -117,7 +124,7 @@ def verify_ljunggren(
     rho, eps = rank.rho, rank.epsilon
     modulus = p**3
     m, n = k * rho, l * rho
-    lhs = lucanomial_residue(params, m, n, p, 3).residue()
+    lhs = lucanomial_residue(params, m, n, p, 3, cell=cell).residue()
     scaled, unscaled = _block_terms(params, rho, k)
     block = generalized_binomial(scaled, k, l)
     error = None
@@ -143,9 +150,9 @@ def verify_ljunggren(
     )
 
 
-def _central_lhs(params: LucasParams, rank: RankInfo, j: int) -> int:
+def _central_lhs(params: LucasParams, rank: RankInfo, j: int, cell: Cell | None) -> int:
     rho = rank.rho
-    return lucanomial_residue(params, 2 * rho - 1, rho - 1, rank.p, j).residue()
+    return lucanomial_residue(params, 2 * rho - 1, rho - 1, rank.p, j, cell=cell).residue()
 
 
 def _uv_ratio(params: LucasParams, rho: int, modulus: int) -> tuple[int, int, int]:
@@ -169,6 +176,7 @@ def verify_fifth_power(
     variant: int,
     rank: RankInfo | None = None,
     table: SumsTable | None = None,
+    cell: Cell | None = None,
 ) -> CongruenceReport:
     """Check one of the four mod-p^5 expansions of binom(2 rho - 1, rho - 1)_U.
 
@@ -180,7 +188,8 @@ def verify_fifth_power(
                 + D (U/V)^2 (rho-1)/2].
 
     Here U/V is U_rho/V_rho, s1 and s11 the tabulated sums.  Needs a prime
-    p >= 7 of maximal rank.
+    p >= 7 of maximal rank.  A `cell` for (params, p) with m_max >= 2 rho - 1
+    and precision >= 5 answers the left side.
     """
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
@@ -189,7 +198,7 @@ def verify_fifth_power(
     if table is None:
         table = compute_sums(params, rank, 5)
     modulus = p**5
-    lhs = _central_lhs(params, rank, 5)
+    lhs = _central_lhs(params, rank, 5, cell)
     _, v_r, uv = _uv_ratio(params, rho, modulus)
     s1 = table.sigma(1) % modulus
     s11 = table.sigma(1, 1) % modulus
@@ -230,19 +239,22 @@ def verify_sixth_power(
     p: int,
     rank: RankInfo | None = None,
     table: SumsTable | None = None,
+    cell: Cell | None = None,
 ) -> CongruenceReport:
     """Check the mod-p^6 expansion of binom(2 rho - 1, rho - 1)_U:
 
         (-1)^(rho-1) Q^(rho(rho-1)/2) * [1 + 2 (U/V) s1 + (2/3) (U/V)^3 s3].
 
-    Needs a prime p >= 7 of maximal rank (3 is then invertible mod p^6).
+    Needs a prime p >= 7 of maximal rank (3 is then invertible mod p^6).  A
+    `cell` for (params, p) with m_max >= 2 rho - 1 and precision 6 answers
+    the left side.
     """
     rank = _maximal_rank(params, p, 7, rank)
     rho = rank.rho
     if table is None or table.k < 6:
         table = compute_sums(params, rank, 6)
     modulus = p**6
-    lhs = _central_lhs(params, rank, 6)
+    lhs = _central_lhs(params, rank, 6, cell)
     _, _, uv = _uv_ratio(params, rho, modulus)
     s1 = table.sigma(1) % modulus
     s3 = table.sigma(3) % modulus
@@ -265,6 +277,24 @@ def verify_sixth_power(
 
 def _min_prime(theorem_id: str) -> int:
     return 5 if theorem_id in ("N", "LjWe") else 7
+
+
+def _cell(
+    params: LucasParams, rank: RankInfo, theorem_set: Sequence[str], ks: Sequence[int]
+) -> Cell | None:
+    """One residue context for every case of a sweep cell, or None where the
+    cases take the exact path, none applies at p, or it cannot be built (each
+    case then meets the failure on its own and reports it)."""
+    p, rho = rank.p, rank.rho
+    if (2 * params.Q * params.D) % p == 0 or all(p < _min_prime(t) for t in theorem_set):
+        return None
+    # N reaches m = (k+1) rho - 1 and its base case 2 rho - 1; LjWe m = k rho.
+    m_max = (max(max(ks, default=0), 1) + 1) * rho - 1
+    precision = 3 if set(theorem_set) <= {"N", "LjWe"} else 6
+    try:
+        return Cell(params, p, m_max, precision)
+    except Exception:
+        return None
 
 
 def sweep(
@@ -294,6 +324,7 @@ def sweep(
             if not rank.maximal:
                 continue
             table = None
+            cell = _cell(params, rank, theorem_set, ks)
             for tid in theorem_set:
                 if p < _min_prime(tid):
                     continue
@@ -307,21 +338,21 @@ def sweep(
                 for case in cases:
                     try:
                         if tid == "N":
-                            reports.append(verify_wolstenholme(params, p, case["k"], rank))
+                            reports.append(verify_wolstenholme(params, p, case["k"], rank, cell))
                         elif tid == "LjWe":
                             reports.append(
-                                verify_ljunggren(params, p, case["k"], case["l"], rank)
+                                verify_ljunggren(params, p, case["k"], case["l"], rank, cell)
                             )
                         elif tid == "P6":
                             if table is None or table.k < 6:
                                 table = compute_sums(params, rank, 6)
-                            reports.append(verify_sixth_power(params, p, rank, table))
+                            reports.append(verify_sixth_power(params, p, rank, table, cell))
                         else:
                             if table is None:
                                 need = 6 if "P6" in theorem_set else 5
                                 table = compute_sums(params, rank, need)
                             reports.append(
-                                verify_fifth_power(params, p, int(tid[3:]), rank, table)
+                                verify_fifth_power(params, p, int(tid[3:]), rank, table, cell)
                             )
                     except Exception as exc:  # recorded, not raised: sweeps must finish
                         reports.append(

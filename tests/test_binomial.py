@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lucanomial import (
+    Cell,
     ConventionViolation,
     LucasParams,
     NoRankError,
@@ -15,6 +18,8 @@ from lucanomial import (
     lucanomial_exact,
     lucanomial_residue,
     lucas_range,
+    primes_in_range,
+    rank_of_appearance,
     zero_cancellations,
 )
 from lucanomial.binomial import _convention_quotient
@@ -175,6 +180,61 @@ def test_rank_and_exact_paths_agree(P, Q):
             fast = lucanomial_residue(params, m, n, p, k, method="rank")
             slow = lucanomial_residue(params, m, n, p, k, method="exact")
             assert fast == slow
+
+
+@st.composite
+def cell_queries(draw):
+    """A Cell over |P| <= 6, 1 <= |Q| <= 6 (degenerate pairs included) at a
+    prime 5 <= p <= 113 with p coprime to 2QD, and (m, n, j) queries to it."""
+    P = draw(st.integers(-6, 6))
+    Q = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
+    params = LucasParams(P, Q)
+    primes = [p for p in primes_in_range(5, 113) if (2 * Q * params.D) % p]
+    assume(primes)
+    p = draw(st.sampled_from(primes))
+    rho = rank_of_appearance(params, p).rho
+    m_max = draw(st.integers(0, 6 * rho - 1))
+    queries = draw(
+        st.lists(
+            st.integers(0, m_max).flatmap(
+                lambda m: st.tuples(st.just(m), st.integers(0, m + 2), st.integers(1, 6))
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return params, p, m_max, queries
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+)
+@given(cell_queries())
+def test_cell_matches_exact_path(case):
+    params, p, m_max, queries = case
+    cell = Cell(params, p, m_max, 6)
+    for m, n, j in queries:
+        assert cell.residue(m, n, j) == lucanomial_residue(params, m, n, p, j, method="exact")
+
+
+def test_cell_serves_lucanomial_residue():
+    params, p = LucasParams(1, -1), 11
+    cell = Cell(params, p, 60, 5)
+    for m, n, k in ((59, 9, 5), (60, 30, 3), (20, 0, 1), (7, 9, 4)):
+        assert lucanomial_residue(params, m, n, p, k, cell=cell) == lucanomial_residue(
+            params, m, n, p, k
+        )
+    with pytest.raises(ValueError):
+        cell.residue(61, 3, 3)  # beyond m_max
+    with pytest.raises(ValueError):
+        cell.residue(30, 3, 6)  # beyond the precision
+    with pytest.raises(ValueError):
+        lucanomial_residue(LucasParams(1, 1), 30, 3, p, 3, cell=cell)  # another (P, Q)
+    with pytest.raises(ValueError):
+        Cell(LucasParams(2, 1), 5, 10, 3)  # p divides D = 0
 
 
 def test_high_valuation_case_keeps_unit():

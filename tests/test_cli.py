@@ -152,6 +152,10 @@ def test_search_lists_maximal_primes(capsys):
         assert f"p={p} rho={rho}" in text
     assert "p=13" not in text
     assert "found=4" in text
+    # Ranks are defined for odd primes only: a range reaching 2 starts at 3.
+    assert main(["search", "--P", "1", "--Q", "-1", "--pmin", "2", "--pmax", "30"]) == 0
+    text = capsys.readouterr().out
+    assert "p=3 rho=4" in text and "p=2 " not in text and "found=6" in text
 
 
 def test_lemmas_command(tmp_path):
@@ -191,15 +195,24 @@ def test_table_command(capsys):
     assert "SQ0" in text
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(tmp_path, capsys):
+    unwritable = str(tmp_path / "missing" / "report.out")
     for argv in (
         ["verify", "--P", "1", "--Q", "0", "--pmax", "20"],
         ["verify", "--P", "1", "--pmax", "20"],
         ["verify", "--P", "1", "--Q", "-1", "--pmin", "30", "--pmax", "20"],
         ["verify", "--P", "1", "--Q", "-1", "--pmax", "20", "--theorem", "bogus"],
         ["verify", "--grid", "oops", "--pmax", "20"],
+        ["table", "--P", "1", "--Q", "-1", "--p", "9"],
+        ["table", "--P", "1", "--Q", "7", "--p", "7"],
+        ["table", "--P", "1", "--Q", "-1", "--p", "11", "--precision", "0"],
+        ["verify", "--P", "1", "--Q", "-1", "--pmax", "20", "--jobs", "1", "--out", unwritable],
+        ["search", "--P", "1", "--Q", "-1", "--pmax", "20", "--out", unwritable],
+        ["lemmas", "--P", "1", "--Q", "-1", "--pmax", "20", "--jobs", "1", "--out", unwritable],
+        ["table", "--P", "1", "--Q", "-1", "--p", "11", "--out", unwritable],
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
-        assert err.value.code == 2
-        capsys.readouterr()
+        assert err.value.code == 2, argv
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith("lucanomial") and "error:" in message, argv

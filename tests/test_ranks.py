@@ -10,6 +10,7 @@ from lucanomial import (
     is_prime,
     legendre,
     lucas_range,
+    lucas_uv_mod,
     primes_in_range,
     rank_of_appearance,
 )
@@ -149,6 +150,42 @@ def test_prime_power_ranks_nest():
     ladder = [info.rho_prime_power[a] for a in (1, 2, 3, 4)]
     for lower, higher in zip(ladder, ladder[1:]):
         assert higher % lower == 0
+
+
+def scanned_prime_power_ranks(params, p, exponents):
+    """Oracle: rank(p^a) as the first of j * rank(p^(a-1)), j = 1..p, where U
+    vanishes mod p^a.  The multiples are walked with U_{jr} = U_r * W_j,
+    W = U(V_r, Q^r), so that the whole scan costs one pass per rung."""
+    powers = {1: naive_rank(params, p)}
+    for a in range(2, exponents + 1):
+        r, mod = powers[a - 1], p**a
+        u_r, v_r = lucas_uv_mod(params, r, mod)
+        q_r = pow(params.Q, r, mod)
+        w_prev, w = 0, 1
+        for j in range(1, p + 1):
+            if u_r * w % mod == 0:
+                powers[a] = j * r
+                break
+            w_prev, w = w, (v_r * w - q_r * w_prev) % mod
+    return powers
+
+
+def test_two_probe_ladder_matches_full_scan():
+    # Every |P|, |Q| <= 6 and odd prime p <= 113 not dividing Q, p | D
+    # included: 4,446 ladders, 13,338 rungs past the first.
+    checked = 0
+    for P in range(-6, 7):
+        for Q in range(-6, 7):
+            if Q == 0:
+                continue
+            params = LucasParams(P, Q)
+            for p in primes_in_range(3, 113):
+                if Q % p == 0:
+                    continue
+                info = rank_of_appearance(params, p, exponents=4)
+                assert info.rho_prime_power == scanned_prime_power_ranks(params, p, 4), (P, Q, p)
+                checked += 1
+    assert checked == 4446
 
 
 def test_rank_ladder_stops_at_zero_terms():

@@ -7,6 +7,7 @@ import pytest
 from lucanomial import (
     LucasParams,
     NonMaximalRankError,
+    THEOREM_IDS,
     NoRankError,
     lucanomial_residue,
     rank_of_appearance,
@@ -216,3 +217,41 @@ def test_sweep_rejects_unknown_theorem():
 def test_sweep_skips_p_dividing_q():
     reports = sweep([LucasParams(1, -5)], (5, 5), ("N",), [1])
     assert reports == []
+
+
+def test_sweep_cell_matches_per_call_verifiers():
+    # The sweep answers every rank-path left side from one Cell per (P, Q, p);
+    # each verifier called alone builds its own.  Degenerate (2, 2) included.
+    for params in (FIB, LucasParams(3, 5), LucasParams(2, 2), LucasParams(-1, 3)):
+        for report in sweep([params], (5, 40), THEOREM_IDS, range(0, 4)):
+            p, k = report.p, report.inputs.get("k")
+            if report.theorem_id == "N":
+                alone = verify_wolstenholme(params, p, k)
+            elif report.theorem_id == "LjWe":
+                alone = verify_ljunggren(params, p, k, report.inputs["l"])
+            elif report.theorem_id == "P6":
+                alone = verify_sixth_power(params, p)
+            else:
+                alone = verify_fifth_power(params, p, k)
+            assert (alone.lhs, alone.rhs, alone.holds, alone.error) == (
+                report.lhs, report.rhs, report.holds, report.error
+            )
+
+
+def test_sweep_reports_each_case_when_the_cell_fails(monkeypatch):
+    import lucanomial.binomial
+
+    expected = sweep([FIB], (7, 7), ("N", "LjWe"), range(0, 3))
+
+    def broken_ladder(params, p, index_limit):
+        raise ArithmeticError("no ladder")
+
+    monkeypatch.setattr(lucanomial.binomial, "rank_ladder", broken_ladder)
+    reports = sweep([FIB], (7, 7), ("N", "LjWe"), range(0, 3))
+    assert [(r.theorem_id, r.inputs) for r in reports] == [
+        (r.theorem_id, r.inputs) for r in expected
+    ]
+    # LjWe with l = 0 has n = 0 and needs no ladder; every other case reports the failure.
+    failed = [r for r in reports if not r.holds]
+    assert failed and all("no ladder" in r.error for r in failed)
+    assert all(r.theorem_id == "LjWe" and r.inputs["l"] == 0 for r in reports if r.holds)

@@ -168,6 +168,10 @@ def lucanomial_exact(params: LucasParams, m: int, n: int) -> LucanomialValue:
         return LucanomialValue(m, n, 1)
     if m < n:
         return LucanomialValue(m, n, 0)
+    if m == n:
+        # The factors above and below the bar are the same U_m .. U_1: their
+        # zeros cancel pairwise and the quotient of the rest is 1.
+        return LucanomialValue(m, n, 1)
     us, _ = uv_sequence(params, m)
     return LucanomialValue(m, n, _convention_quotient(us[m - n + 1 : m + 1], us[1 : n + 1]))
 

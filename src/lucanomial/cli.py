@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 from .binomial import lucanomial_residue
 from .lucas import LucasParams
@@ -79,15 +79,23 @@ def _lemma_cell(task) -> list[CongruenceReport]:
     return verify_sum_lemmas(params, rank)
 
 
-def _map_cells(worker, tasks, jobs):
+def _map_cells(worker, tasks, jobs) -> Iterator[CongruenceReport]:
+    """The reports of every task's cell, in task order, as the cells finish."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
+        for task in tasks:
+            yield from worker(task)
+        return
+    # Imported only when a pool starts: it is about a quarter of the time
+    # `import lucanomial.cli` takes, which every run pays.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunk))
+        for cell in pool.map(worker, tasks, chunksize=chunk):
+            yield from cell
 
 
-def _cross_check_reports(params_list, p_min, p_max, count, seed) -> list[CongruenceReport]:
+def _cross_check_reports(params_list, p_min, p_max, count, seed) -> Iterator[CongruenceReport]:
     """Seeded random fast-path vs exact-path residue comparisons."""
     eligible = []
     for params in params_list:
@@ -95,9 +103,8 @@ def _cross_check_reports(params_list, p_min, p_max, count, seed) -> list[Congrue
             if (2 * params.Q * params.D) % p != 0:
                 eligible.append((params, p))
     if not eligible:
-        return []
+        return
     rng = random.Random(seed)
-    reports = []
     for _ in range(count):
         params, p = rng.choice(eligible)
         rank = rank_of_appearance(params, p)
@@ -106,19 +113,9 @@ def _cross_check_reports(params_list, p_min, p_max, count, seed) -> list[Congrue
         n = rng.randint(0, m)
         fast = lucanomial_residue(params, m, n, p, k, method="rank")
         slow = lucanomial_residue(params, m, n, p, k, method="exact")
-        reports.append(
-            CongruenceReport(
-                "oracle",
-                params,
-                rank,
-                {"k": k},
-                k,
-                fast.residue(),
-                slow.residue(),
-                fast == slow,
-            )
+        yield CongruenceReport(
+            "oracle", params, rank, {"k": k}, k, fast.residue(), slow.residue(), fast == slow
         )
-    return reports
 
 
 def _fail(parser, message: str) -> NoReturn:
@@ -137,61 +134,75 @@ def _write(text: str, out_path, parser) -> None:
         _fail(parser, f"cannot write {out_path}: {exc.strerror or exc}")
 
 
-def _emit_records(reports, fmt, out_path, parser) -> None:
-    records = [r.to_record() for r in reports]
-    if fmt == "json":
-        text = json.dumps({"records": records}, indent=2) + "\n"
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS)
-        writer.writeheader()
-        for rec in records:
-            writer.writerow({k: ("" if rec[k] is None else rec[k]) for k in RECORD_FIELDS})
-        text = buf.getvalue()
+# One flat record in the layout json.dumps(..., indent=2) gives it inside the
+# report, but from the C encoder, which indent would bypass: each key goes on
+# its own line, and the braces are added back by _emit_records.
+_JSON_RECORD = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+
+
+def _emit_records(reports, fmt, out_path, parser) -> tuple[int, int]:
+    """Build the report in one pass over `reports`, taking each as it arrives,
+    and write it once at the end, so an IO failure leaves no partial report.
+    Returns (checked, held)."""
+    buf = io.StringIO()
+    if fmt == "text":
+        checked, held = _text_report(reports, buf)
     else:
-        text = _text_report(reports)
-    _write(text, out_path, parser)
+        checked = held = 0
+        if fmt == "json":
+            buf.write('{\n  "records": [')
+            for r in reports:
+                buf.write(",\n    {\n      " if checked else "\n    {\n      ")
+                buf.write(_JSON_RECORD(r.to_record())[1:-1])
+                buf.write("\n    }")
+                checked += 1
+                held += r.holds
+            buf.write("\n  ]\n}\n" if checked else "]\n}\n")
+        else:
+            writer = csv.writer(buf)
+            writer.writerow(RECORD_FIELDS)
+            for r in reports:
+                rec = r.to_record()
+                writer.writerow([rec[f] for f in RECORD_FIELDS])  # None is written as ""
+                checked += 1
+                held += r.holds
+    _write(buf.getvalue(), out_path, parser)
+    return checked, held
 
 
-def _text_report(reports) -> str:
-    lines = []
-    group_key = None
-    group = []
-
-    def flush():
-        if group_key is None:
-            return
-        P, Q, p = group_key
-        rank = group[0].rank
-        bad = [r for r in group if not r.holds]
-        status = "all hold" if not bad else f"{len(bad)} FAILED"
-        lines.append(
-            f"P={P} Q={Q} p={p} rho={rank.rho} eps={rank.epsilon}: "
-            f"{len(group)} checks, {status}"
-        )
-
-    for r in reports:
-        key = (r.params.P, r.params.Q, r.p)
-        if key != group_key:
-            flush()
-            group_key, group = key, []
-        group.append(r)
-        if not r.holds:
+def _text_report(reports, buf) -> tuple[int, int]:
+    """Each (P, Q, p) cell's counterexamples, then its summary line, then the
+    totals; returns (checked, held)."""
+    checked = held = 0
+    for (P, Q, p), cell in itertools.groupby(reports, lambda r: (r.params.P, r.params.Q, r.p)):
+        count = bad = 0
+        for r in cell:
+            count += 1
+            if r.holds:
+                continue
+            bad += 1
             inputs = " ".join(f"{k}={v}" for k, v in r.inputs.items())
-            lines.append(
-                f"COUNTEREXAMPLE {r.theorem_id} P={r.params.P} Q={r.params.Q} "
-                f"p={r.p} {inputs} lhs={r.lhs} rhs={r.rhs} mod p^{r.modulus_exponent}"
+            buf.write(
+                f"COUNTEREXAMPLE {r.theorem_id} P={P} Q={Q} p={p} {inputs} lhs={r.lhs} "
+                f"rhs={r.rhs} mod p^{r.modulus_exponent}"
                 + (f" error={r.error}" if r.error else "")
+                + "\n"
             )
-    flush()
-    held = sum(r.holds for r in reports)
-    lines.append(f"checked={len(reports)} hold={held} failed={len(reports) - held}")
-    return "\n".join(lines) + "\n"
+        # rho and eps depend on (P, Q, p) alone: any report of the cell has them.
+        status = "all hold" if not bad else f"{bad} FAILED"
+        buf.write(f"P={P} Q={Q} p={p} rho={r.rho} eps={r.epsilon}: {count} checks, {status}\n")
+        checked += count
+        held += count - bad
+    buf.write(f"checked={checked} hold={held} failed={checked - held}\n")
+    return checked, held
 
 
-def _summary(reports) -> str:
-    held = sum(r.holds for r in reports)
-    return f"checked={len(reports)} hold={held} failed={len(reports) - held}"
+def _finish(reports, args, parser) -> int:
+    """Emit a sweep's reports; exit code 0 when every check held, else 1."""
+    checked, held = _emit_records(reports, args.format, args.out, parser)
+    if args.format != "text" or args.out:
+        print(f"checked={checked} hold={held} failed={checked - held}", file=sys.stderr)
+    return 0 if held == checked else 1
 
 
 def _run_verify(args, parser) -> int:
@@ -205,16 +216,13 @@ def _run_verify(args, parser) -> int:
         for params in params_list
         for p in primes_in_range(args.pmin, args.pmax)
     ]
-    cells = _map_cells(_verify_cell, tasks, args.jobs)
-    reports = [r for cell in cells for r in cell]
+    reports = _map_cells(_verify_cell, tasks, args.jobs)
     if args.cross_check:
-        reports += _cross_check_reports(
-            params_list, args.pmin, args.pmax, args.cross_check, args.seed
+        reports = itertools.chain(
+            reports,
+            _cross_check_reports(params_list, args.pmin, args.pmax, args.cross_check, args.seed),
         )
-    _emit_records(reports, args.format, args.out, parser)
-    if args.format != "text" or args.out:
-        print(_summary(reports), file=sys.stderr)
-    return 0 if all(r.holds for r in reports) else 1
+    return _finish(reports, args, parser)
 
 
 def _run_search(args, parser) -> int:
@@ -268,12 +276,7 @@ def _run_lemmas(args, parser) -> int:
         for params in params_list
         for p in primes_in_range(max(args.pmin, 7), args.pmax)
     ]
-    cells = _map_cells(_lemma_cell, tasks, args.jobs)
-    reports = [r for cell in cells for r in cell]
-    _emit_records(reports, args.format, args.out, parser)
-    if args.format != "text" or args.out:
-        print(_summary(reports), file=sys.stderr)
-    return 0 if all(r.holds for r in reports) else 1
+    return _finish(_map_cells(_lemma_cell, tasks, args.jobs), args, parser)
 
 
 def _run_table(args, parser) -> int:

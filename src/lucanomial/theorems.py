@@ -107,6 +107,7 @@ def verify_ljunggren(
     l: int,
     rank: RankInfo | None = None,
     cell: Cell | None = None,
+    blocks: tuple[list[int], list[int]] | None = None,
 ) -> CongruenceReport:
     """Check the block congruence mod p^3 for binom(k rho, l rho)_U:
 
@@ -116,7 +117,8 @@ def verify_ljunggren(
     with U' the sequence of U-terms at multiples of rho (scaled form
     U_rho * U(V_rho, Q^rho); when U_rho != 0 the unscaled form must agree and
     both are evaluated).  Needs p >= 5 of maximal rank and k >= l >= 0.  A
-    `cell` for (params, p) with m_max >= k rho answers the left side.
+    `cell` for (params, p) with m_max >= k rho answers the left side, and
+    `blocks`, the _block_terms of (params, rho) up to k or beyond, the right.
     """
     if l < 0 or k < l:
         raise ValueError("need k >= l >= 0")
@@ -125,7 +127,7 @@ def verify_ljunggren(
     modulus = p**3
     m, n = k * rho, l * rho
     lhs = lucanomial_residue(params, m, n, p, 3, cell=cell).residue()
-    scaled, unscaled = _block_terms(params, rho, k)
+    scaled, unscaled = blocks or _block_terms(params, rho, k)
     block = generalized_binomial(scaled, k, l)
     error = None
     if scaled[1] != 0 and generalized_binomial(unscaled, k, l) != block:
@@ -323,7 +325,7 @@ def sweep(
             rank = rank_of_appearance(params, p)
             if not rank.maximal:
                 continue
-            table = None
+            table = blocks = None
             cell = _cell(params, rank, theorem_set, ks)
             for tid in theorem_set:
                 if p < _min_prime(tid):
@@ -340,8 +342,12 @@ def sweep(
                         if tid == "N":
                             reports.append(verify_wolstenholme(params, p, case["k"], rank, cell))
                         elif tid == "LjWe":
+                            if blocks is None:
+                                blocks = _block_terms(params, rank.rho, max(ks))
                             reports.append(
-                                verify_ljunggren(params, p, case["k"], case["l"], rank, cell)
+                                verify_ljunggren(
+                                    params, p, case["k"], case["l"], rank, cell, blocks
+                                )
                             )
                         elif tid == "P6":
                             if table is None or table.k < 6:

@@ -114,6 +114,22 @@ def test_convention_quotient_error_paths():
         _convention_quotient([3], [2])
 
 
+def test_exact_diagonal_is_one():
+    # lucanomial_exact answers binom(m, m)_U without forming the products;
+    # the full quotient, zero cancellation included, must agree.
+    for P in range(-5, 6):
+        for Q in range(-5, 6):
+            if Q == 0:
+                continue
+            params = LucasParams(P, Q)
+            us = [t.U for t in lucas_range(params, 60)]
+            for m in range(1, 61):
+                factors = us[1 : m + 1]
+                assert lucanomial_exact(params, m, m).value == _convention_quotient(
+                    factors, factors
+                ), (P, Q, m)
+
+
 def test_generalized_binomial_all_zero_sequence():
     # Blocks of a degenerate sequence can be identically zero; every factor
     # then cancels pairwise and the coefficient collapses to 1.

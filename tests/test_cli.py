@@ -1,12 +1,28 @@
 """CLI behavior: subcommands, report formats, exit codes, determinism."""
 
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from lucanomial import RECORD_FIELDS, LucasParams, sweep
-from lucanomial.cli import main
+from lucanomial import (
+    RECORD_FIELDS,
+    THEOREM_IDS,
+    CongruenceReport,
+    LucasParams,
+    rank_of_appearance,
+    sweep,
+)
+from lucanomial import cli
+from lucanomial.cli import _emit_records, build_parser, main
+
+FIB = LucasParams(1, -1)
 
 
 def test_verify_exit_zero_and_json_roundtrip(tmp_path, capsys):
@@ -94,19 +110,137 @@ def test_verify_text_summary(capsys):
 
 
 def test_parallel_output_matches_serial(tmp_path):
-    args = [
-        "verify",
-        "--grid", "2,2",
-        "--theorem", "N",
-        "--pmax", "30",
-        "--kmax", "2",
-        "--format", "json",
-    ]
-    serial = tmp_path / "serial.json"
-    parallel = tmp_path / "parallel.json"
-    assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert main(args + ["--jobs", "4", "--out", str(parallel)]) == 0
-    assert serial.read_text() == parallel.read_text()
+    for args in (
+        "verify --grid 2,2 --theorem N --pmax 30 --kmax 2 --format json".split(),
+        "verify --grid 2,2 --theorem N --pmax 30 --kmax 2 --format text".split(),
+        "lemmas --grid 1,1 --pmax 60 --format csv".split(),
+    ):
+        serial = tmp_path / "serial.out"
+        parallel = tmp_path / "parallel.out"
+        assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+        assert main(args + ["--jobs", "4", "--out", str(parallel)]) == 0
+        assert serial.read_bytes() == parallel.read_bytes(), args
+        assert serial.stat().st_size > 100, args
+
+
+def _json_oracle(reports) -> str:
+    return json.dumps({"records": [r.to_record() for r in reports]}, indent=2) + "\n"
+
+
+def _csv_oracle(reports) -> str:
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS)
+    writer.writeheader()
+    for rec in (r.to_record() for r in reports):
+        writer.writerow({k: ("" if rec[k] is None else rec[k]) for k in RECORD_FIELDS})
+    return buf.getvalue()
+
+
+def _text_oracle(reports) -> str:
+    """The text report as the parent built it: whole cells, then lines."""
+    lines = []
+    group_key = None
+    group = []
+
+    def flush():
+        if group_key is None:
+            return
+        P, Q, p = group_key
+        rank = group[0].rank
+        bad = [r for r in group if not r.holds]
+        status = "all hold" if not bad else f"{len(bad)} FAILED"
+        lines.append(
+            f"P={P} Q={Q} p={p} rho={rank.rho} eps={rank.epsilon}: "
+            f"{len(group)} checks, {status}"
+        )
+
+    for r in reports:
+        key = (r.params.P, r.params.Q, r.p)
+        if key != group_key:
+            flush()
+            group_key, group = key, []
+        group.append(r)
+        if not r.holds:
+            inputs = " ".join(f"{k}={v}" for k, v in r.inputs.items())
+            lines.append(
+                f"COUNTEREXAMPLE {r.theorem_id} P={r.params.P} Q={r.params.Q} "
+                f"p={r.p} {inputs} lhs={r.lhs} rhs={r.rhs} mod p^{r.modulus_exponent}"
+                + (f" error={r.error}" if r.error else "")
+            )
+    flush()
+    held = sum(r.holds for r in reports)
+    lines.append(f"checked={len(reports)} hold={held} failed={len(reports) - held}")
+    return "\n".join(lines) + "\n"
+
+
+ORACLES = {"json": _json_oracle, "csv": _csv_oracle, "text": _text_oracle}
+
+
+def test_reports_match_the_oracle_encoders(tmp_path, capsys):
+    # (2, 1) and (2, 2) are degenerate; (2, 1) has D = 0, so every prime
+    # takes the exact path there.
+    grid = [LucasParams(P, Q) for P in range(-2, 3) for Q in (-2, -1, 1, 2)]
+    cases = (
+        (["--pmin", "5", "--pmax", "23"], sweep(grid, (5, 23), THEOREM_IDS, range(3))),
+        (["--pmin", "0", "--pmax", "1"], []),
+    )
+    for prime_range, reports in cases:
+        for fmt, oracle in ORACLES.items():
+            out = tmp_path / f"report.{fmt}"
+            argv = ["verify", "--grid", "2,2", "--kmax", "2", "--format", fmt, "--jobs", "1"]
+            assert main(argv + prime_range + ["--out", str(out)]) == 0
+            assert out.read_bytes() == oracle(reports).encode(), (fmt, prime_range)
+            assert capsys.readouterr().err == (
+                f"checked={len(reports)} hold={len(reports)} failed=0\n"
+            )
+
+
+def test_emitter_escapes_like_the_oracle(tmp_path):
+    rank = rank_of_appearance(FIB, 7)
+    errors = (
+        None, '"', "\\", "{", "}", '},\n  "holds": true', "ρ = p − ε, 𝔽_p", "tab\there",
+    )
+    reports = [
+        CongruenceReport(
+            "LjWe", FIB, rank, {"k": i, "l": 0}, 3, 10**40 + i, 5, error is None, error
+        )
+        for i, error in enumerate(errors)
+    ] + [CongruenceReport("P6", FIB, rank_of_appearance(FIB, 11), {}, 6, 0, 0, True)]
+    parser = build_parser()
+    for fmt, oracle in ORACLES.items():
+        out = tmp_path / f"report.{fmt}"
+        assert _emit_records(iter(reports), fmt, str(out), parser) == (len(reports), 2)
+        with open(out, newline="") as fh:
+            assert fh.read() == oracle(reports), fmt
+
+
+def test_counterexample_exits_one(tmp_path, capsys, monkeypatch):
+    def sweep_with_one_failure(*args):
+        reports = sweep(*args)
+        if reports and reports[0].p == 11:
+            reports[1] = replace(reports[1], lhs=reports[1].lhs + 1, holds=False)
+        return reports
+
+    monkeypatch.setattr(cli, "sweep", sweep_with_one_failure)
+    out = tmp_path / "report.json"
+    argv = "verify --P 1 --Q -1 --theorem N --pmin 7 --pmax 30 --kmax 2 --format json --jobs 1"
+    assert main(argv.split() + ["--out", str(out)]) == 1
+    records = json.loads(out.read_text())["records"]
+    n = len(records)
+    assert capsys.readouterr().err == f"checked={n} hold={n - 1} failed=1\n"
+    failed = [r for r in records if not r["holds"]]
+    assert [(r["p"], r["k"]) for r in failed] == [(11, 1)]
+    assert failed[0]["lhs"] != failed[0]["rhs"]
+
+
+def test_import_starts_no_pool_machinery():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import sys, lucanomial.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_cross_check_records(tmp_path):

@@ -39,6 +39,10 @@ def is_prime(n: int) -> bool:
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
+    if n < 41 * 41:
+        # A composite below 41^2 has a prime factor below 41, i.e. <= 37,
+        # and trial division has just ruled those out.
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -5,12 +5,17 @@ table holds the power sums x_1^v + ... + x_{rho-1}^v for v <= 5, the monomial
 symmetric sums over distinct indices for every exponent multiset used by the
 fifth- and sixth-power congruences, and the weighted sums
 4 Q^t V_t^v / U_t^(v+2) for v <= 3.
+
+One walk of the U recurrence mod p^k gives U_1 .. U_rho, and the identity
+V_t = 2 U_{t+1} - P U_t gives V without a second walk.  The U_t are inverted
+all at once, with one modular inverse per (P, Q, p) cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import mul
 from typing import Sequence
 
 from .lucas import LucasParams, lucas_uv_mod
@@ -125,18 +130,6 @@ def _monomials_from_powers(s: Sequence[int], modulus: int) -> dict[tuple[int, ..
     }
 
 
-def ratios_mod(params: LucasParams, rho: int, modulus: int) -> list[int]:
-    """x_t = V_t / U_t mod modulus for t = 1 .. rho-1."""
-    out = []
-    u_prev, u = 0, 1 % modulus
-    v_prev, v = 2 % modulus, params.P % modulus
-    for _ in range(1, rho):
-        out.append(v * pow(u, -1, modulus) % modulus)
-        u_prev, u = u, (params.P * u - params.Q * u_prev) % modulus
-        v_prev, v = v, (params.P * v - params.Q * v_prev) % modulus
-    return out
-
-
 def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     """Build the whole table mod p^k.
 
@@ -152,33 +145,41 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     if k < 1:
         raise ValueError("precision k must be positive")
     modulus = p**k
-    xs = []
-    weighted = [0] * (WEIGHTED_MAX + 1)
-    u_prev, u = 0, 1 % modulus
-    v_prev, v = 2 % modulus, params.P % modulus
-    qt = 1
-    for _ in range(1, rho):
-        qt = qt * params.Q % modulus
-        inv_u = pow(u, -1, modulus)
-        x = v * inv_u % modulus
-        xs.append(x)
-        w = 4 * qt * inv_u * inv_u % modulus
-        for nu in range(WEIGHTED_MAX + 1):
-            weighted[nu] = (weighted[nu] + w) % modulus
-            w = w * x % modulus
-        u_prev, u = u, (params.P * u - params.Q * u_prev) % modulus
-        v_prev, v = v, (params.P * v - params.Q * v_prev) % modulus
-    power = [0] * (POWER_MAX + 1)
-    for x in xs:
-        xp = 1
-        for nu in range(POWER_MAX + 1):
-            power[nu] = (power[nu] + xp) % modulus
-            xp = xp * x % modulus
+    P, Q = params.P, params.Q
+    # One walk gives U_0 .. U_rho; V_t = 2 U_{t+1} - P U_t needs no second one.
+    us = [0, 1 % modulus]
+    for _ in range(rho - 1):
+        us.append((P * us[-1] - Q * us[-2]) % modulus)
+    qs = [Q % modulus]
+    for _ in range(rho - 2):
+        qs.append(qs[-1] * Q % modulus)
+    # Montgomery's trick: U_1 .. U_{rho-1} are all units mod p (rho is the
+    # first index with p | U_t), so their product is one, and one inverse of
+    # it, walked back through the prefix products, gives every U_t^-1.  A rank
+    # from other params makes the product a non-unit, and pow raises.
+    prefix = [1]
+    for u in us[1:rho]:
+        prefix.append(prefix[-1] * u % modulus)
+    inv = pow(prefix[-1], -1, modulus)
+    invs = [0] * (rho - 1)
+    for t in range(rho - 1, 0, -1):
+        invs[t - 1] = inv * prefix[t - 1] % modulus
+        inv = inv * us[t] % modulus
+    xs = [(2 * u1 * iu - P) % modulus for u1, iu in zip(us[2:], invs)]
+    cols = [xs]  # x^1 .. x^POWER_MAX, term by term
+    for _ in range(POWER_MAX - 1):
+        cols.append([c * x % modulus for c, x in zip(cols[-1], xs)])
+    power = (len(xs) % modulus, *(sum(c) % modulus for c in cols))
+    ws = [4 * q * iu * iu % modulus for q, iu in zip(qs, invs)]  # 4 Q^t / U_t^2
+    weighted = (
+        sum(ws) % modulus,
+        *(sum(map(mul, ws, c)) % modulus for c in cols[:WEIGHTED_MAX]),
+    )
     if p >= 7:
         monomial = _monomials_from_powers(power, modulus)
     else:
         monomial = {key: monomial_sum_direct(xs, key, modulus) for key in MONOMIAL_KEYS}
-    return SumsTable(params, p, rho, k, tuple(power), monomial, tuple(weighted))
+    return SumsTable(params, p, rho, k, power, monomial, weighted)
 
 
 def verify_power_sums(

@@ -236,6 +236,54 @@ def test_cell_matches_exact_path(case):
         assert cell.residue(m, n, j) == lucanomial_residue(params, m, n, p, j, method="exact")
 
 
+# Pairs whose U has zero terms, with zero periods 2, 3, 4 and 6.
+DEGENERATE = ((0, 5), (0, -3), (1, 1), (-2, 4), (2, 2), (-2, 2), (3, 3), (-3, 3))
+
+
+@st.composite
+def symmetry_queries(draw):
+    """(P, Q, p, m, n, k) with |P| <= 6, 1 <= |Q| <= 6 (a degenerate pair half
+    the time), an odd prime 3 <= p <= 113 not dividing Q, 0 <= n <= m and
+    1 <= k <= 6; m is at most 6 rho on the rank path and 3 rho on the exact
+    one, which multiplies out bigints."""
+    if draw(st.booleans()):
+        P, Q = draw(st.sampled_from(DEGENERATE))
+    else:
+        P = draw(st.integers(-6, 6))
+        Q = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
+    params = LucasParams(P, Q)
+    p = draw(st.sampled_from([p for p in primes_in_range(3, 113) if Q % p]))
+    rho = rank_of_appearance(params, p).rho
+    rank_path = (2 * Q * params.D) % p != 0
+    m = draw(st.integers(0, (6 if rank_path else 3) * rho))
+    n = draw(st.integers(0, m))
+    k = draw(st.integers(1, 6))
+    return params, p, m, n, k, rank_path
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    database=None,
+)
+@given(symmetry_queries())
+def test_symmetry_mod_prime_powers(case):
+    params, p, m, n, k, rank_path = case
+    if rank_path:
+        cell = Cell(params, p, m, k)
+        lhs, rhs = cell.residue(m, n, k), cell.residue(m, m - n, k)
+    else:
+        lhs = lucanomial_residue(params, m, n, p, k, method="exact")
+        rhs = lucanomial_residue(params, m, m - n, p, k, method="exact")
+    assert lhs == rhs
+    zp = params.zero_period
+    if zp is not None:
+        # Zeros above the bar less zeros below: the same count for n and m - n.
+        leftover = m // zp - n // zp - (m - n) // zp
+        assert lhs.zero == (leftover > 0)
+
+
 def test_cell_serves_lucanomial_residue():
     params, p = LucasParams(1, -1), 11
     cell = Cell(params, p, 60, 5)

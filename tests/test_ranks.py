@@ -37,8 +37,11 @@ def test_is_prime_matches_trial_division():
             d += 1
         return True
 
-    for n in range(0, 2000):
-        assert is_prime(n) == trial(n)
+    # Below 41^2 is_prime stops after trial division by the primes <= 37;
+    # 37^2, 41^2 and 41 * 43 sit on either side of that cut.
+    for n in range(-5, 20_000):
+        assert is_prime(n) == trial(n), n
+    assert not any(map(is_prime, (1369, 1681, 1763)))
     for n in (10**9 + 7, 10**9 + 9, 2**31 - 1, 10**12 + 39):
         assert is_prime(n)
     assert not is_prime(10**12 + 1)

@@ -5,12 +5,47 @@ import pytest
 from lucanomial import (
     LucasParams,
     compute_sums,
+    lucas_uv_mod,
     monomial_sum_direct,
+    primes_in_range,
     rank_of_appearance,
     verify_power_sums,
     verify_sum_lemmas,
 )
-from lucanomial.sums import MONOMIAL_KEYS, ratios_mod
+from lucanomial.sums import MONOMIAL_KEYS, POWER_MAX, WEIGHTED_MAX, _monomials_from_powers
+
+
+def ratios(params, rho, modulus):
+    """x_t = V_t / U_t mod modulus for t = 1 .. rho-1, each term on its own."""
+    out = []
+    for t in range(1, rho):
+        u, v = lucas_uv_mod(params, t, modulus)
+        out.append(v * pow(u, -1, modulus) % modulus)
+    return out
+
+
+def oracle_sums(params, rho, modulus):
+    """Power and weighted sums term by term: separate U and V walks, one
+    inverse per term."""
+    power = [0] * (POWER_MAX + 1)
+    weighted = [0] * (WEIGHTED_MAX + 1)
+    u_prev, u = 0, 1 % modulus
+    v_prev, v = 2 % modulus, params.P % modulus
+    qt = 1
+    for _ in range(1, rho):
+        qt = qt * params.Q % modulus
+        inv_u = pow(u, -1, modulus)
+        x = v * inv_u % modulus
+        w = 4 * qt * inv_u * inv_u % modulus
+        xp = 1
+        for nu in range(POWER_MAX + 1):
+            power[nu] = (power[nu] + xp) % modulus
+            if nu <= WEIGHTED_MAX:
+                weighted[nu] = (weighted[nu] + w * xp) % modulus
+            xp = xp * x % modulus
+        u_prev, u = u, (params.P * u - params.Q * u_prev) % modulus
+        v_prev, v = v, (params.P * v - params.Q * v_prev) % modulus
+    return tuple(power), tuple(weighted)
 
 
 def table_for(P, Q, p, k):
@@ -42,7 +77,7 @@ def test_fibonacci_sigma2_value():
 def test_monomials_match_direct_enumeration(P, Q, p):
     params, rank, table = table_for(P, Q, p, 3)
     modulus = table.modulus
-    xs = ratios_mod(params, rank.rho, modulus)
+    xs = ratios(params, rank.rho, modulus)
     for key in MONOMIAL_KEYS:
         if len(key) >= 5 and len(xs) > 24:
             continue  # quintuple enumeration only at small ranks
@@ -52,7 +87,7 @@ def test_monomials_match_direct_enumeration(P, Q, p):
 def test_small_prime_table_matches_direct_enumeration():
     # p = 5 exercises the enumeration fallback (5 is not invertible mod 5^k)
     params, rank, table = table_for(2, 2, 5, 3)
-    xs = ratios_mod(params, rank.rho, table.modulus)
+    xs = ratios(params, rank.rho, table.modulus)
     for key in MONOMIAL_KEYS:
         assert table.monomial[key] == monomial_sum_direct(xs, key, table.modulus)
 
@@ -102,6 +137,48 @@ def test_compute_sums_validation():
     params = LucasParams(1, -5)
     with pytest.raises(ValueError):
         compute_sums(params, rank_of_appearance(LucasParams(1, -1), 7), 0)
+    # A rank from other params: the Fibonacci rank of 7 is 8, but U_7 = 301
+    # of U(1, -5) is divisible by 7, so that term has no inverse.
+    for k in (1, 2, 5):
+        with pytest.raises(ValueError):
+            compute_sums(params, rank_of_appearance(LucasParams(1, -1), 7), k)
+
+
+def test_compute_sums_matches_per_term_oracle():
+    # The batched inversion must give the table the per-term loop gives, at
+    # every rank (maximal or not), for p | D and for the enumerated p = 3, 5.
+    seen = set()
+    for P in range(-6, 7):
+        for Q in range(-6, 7):
+            if Q == 0:
+                continue
+            params = LucasParams(P, Q)
+            for p in primes_in_range(3, 100):
+                if Q % p == 0:
+                    continue
+                rank = rank_of_appearance(params, p)
+                seen.add(p if p < 7 else "p >= 7")
+                if not rank.maximal:
+                    seen.add("nonmaximal")
+                if params.D % p == 0:
+                    seen.add("p | D")
+                for k in (1, 2, 5, 6):
+                    modulus = p**k
+                    table = compute_sums(params, rank, k)
+                    power, weighted = oracle_sums(params, rank.rho, modulus)
+                    if p < 7:
+                        xs = ratios(params, rank.rho, modulus)
+                        monomial = {
+                            key: monomial_sum_direct(xs, key, modulus) for key in MONOMIAL_KEYS
+                        }
+                    else:
+                        monomial = _monomials_from_powers(power, modulus)
+                    assert (table.power, table.weighted, table.monomial) == (
+                        power,
+                        weighted,
+                        monomial,
+                    ), (P, Q, p, k)
+    assert seen == {3, 5, "p >= 7", "nonmaximal", "p | D"}
 
 
 def test_power_sum_value_examples():

@@ -63,36 +63,36 @@ def _params_list(args, parser) -> list[LucasParams]:
     return [LucasParams(args.P, args.Q)]
 
 
-def _verify_cell(task) -> list[CongruenceReport]:
-    P, Q, p, theorems, ks, ls = task
-    return sweep([LucasParams(P, Q)], (p, p), theorems, ks, ls)
+def _verify_cell(task) -> tuple[str, int, int] | None:
+    P, Q, p, theorems, ks, ls, fmt = task
+    return _render(sweep([LucasParams(P, Q)], (p, p), theorems, ks, ls), fmt)
 
 
-def _lemma_cell(task) -> list[CongruenceReport]:
-    P, Q, p = task
+def _lemma_cell(task) -> tuple[str, int, int] | None:
+    P, Q, p, fmt = task
     params = LucasParams(P, Q)
     if Q % p == 0:
-        return []
+        return None
     rank = rank_of_appearance(params, p)
     if not rank.maximal or p < 7:
-        return []
-    return verify_sum_lemmas(params, rank)
+        return None
+    return _render(verify_sum_lemmas(params, rank), fmt)
 
 
-def _map_cells(worker, tasks, jobs) -> Iterator[CongruenceReport]:
-    """The reports of every task's cell, in task order, as the cells finish."""
+def _map_cells(worker, tasks, jobs) -> Iterator:
+    """Each task's rendered cell, in task order, as the cells finish."""
     if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            yield from worker(task)
+        yield from map(worker, tasks)
         return
     # Imported only when a pool starts: it is about a quarter of the time
     # `import lucanomial.cli` takes, which every run pays.
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (jobs * 4))
+    # A rendered cell is a short string, so finer chunks cost little to ship
+    # and even out the finish: the slowest chunk no longer sets the tail.
+    chunk = max(1, len(tasks) // (jobs * 16))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for cell in pool.map(worker, tasks, chunksize=chunk):
-            yield from cell
+        yield from pool.map(worker, tasks, chunksize=chunk)
 
 
 def _cross_check_reports(params_list, p_min, p_max, count, seed) -> Iterator[CongruenceReport]:
@@ -134,72 +134,89 @@ def _write(text: str, out_path, parser) -> None:
         _fail(parser, f"cannot write {out_path}: {exc.strerror or exc}")
 
 
-# One flat record in the layout json.dumps(..., indent=2) gives it inside the
-# report, but from the C encoder, which indent would bypass: each key goes on
-# its own line, and the braces are added back by _emit_records.
-_JSON_RECORD = json.JSONEncoder(separators=(",\n      ", ": ")).encode
+# A list of flat records in the layout json.dumps(..., indent=2) gives it
+# inside the report, but from the C encoder, which indent would bypass: each
+# key goes on its own line, and _render frames each record.  An encoded string
+# never holds a raw newline, so "},\n      {" occurs only between records.
+_JSON_RECORDS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
 
-def _emit_records(reports, fmt, out_path, parser) -> tuple[int, int]:
-    """Build the report in one pass over `reports`, taking each as it arrives,
-    and write it once at the end, so an IO failure leaves no partial report.
-    Returns (checked, held)."""
-    buf = io.StringIO()
-    if fmt == "text":
-        checked, held = _text_report(reports, buf)
+def _render(reports, fmt) -> tuple[str, int, int] | None:
+    """One batch of reports (a cell, or the cross-check) as a fragment of the
+    report in `fmt`, with (fragment, checked, held); None for an empty batch.
+    Fragments of consecutive batches join with "," in json and with nothing
+    in csv and text; _emit_records adds the header and the footer."""
+    reports = list(reports)
+    if not reports:
+        return None
+    held = sum(r.holds for r in reports)
+    if fmt == "json":
+        body = _JSON_RECORDS([r.to_record() for r in reports])[2:-2]
+        text = "\n    {\n      " + body.replace("},\n      {", "\n    },\n    {\n      ") + "\n    }"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        rows = (r.to_record() for r in reports)
+        csv.writer(buf).writerows([rec[f] for f in RECORD_FIELDS] for rec in rows)  # None -> ""
+        text = buf.getvalue()
     else:
-        checked = held = 0
-        if fmt == "json":
-            buf.write('{\n  "records": [')
-            for r in reports:
-                buf.write(",\n    {\n      " if checked else "\n    {\n      ")
-                buf.write(_JSON_RECORD(r.to_record())[1:-1])
-                buf.write("\n    }")
-                checked += 1
-                held += r.holds
-            buf.write("\n  ]\n}\n" if checked else "]\n}\n")
-        else:
-            writer = csv.writer(buf)
-            writer.writerow(RECORD_FIELDS)
-            for r in reports:
-                rec = r.to_record()
-                writer.writerow([rec[f] for f in RECORD_FIELDS])  # None is written as ""
-                checked += 1
-                held += r.holds
-    _write(buf.getvalue(), out_path, parser)
-    return checked, held
+        text = _text_lines(reports)
+    return text, len(reports), held
 
 
-def _text_report(reports, buf) -> tuple[int, int]:
-    """Each (P, Q, p) cell's counterexamples, then its summary line, then the
-    totals; returns (checked, held)."""
-    checked = held = 0
-    for (P, Q, p), cell in itertools.groupby(reports, lambda r: (r.params.P, r.params.Q, r.p)):
+def _text_lines(reports) -> str:
+    """Each (P, Q, p) group's counterexamples, then its summary line."""
+    lines = []
+    for (P, Q, p), group in itertools.groupby(reports, lambda r: (r.params.P, r.params.Q, r.p)):
         count = bad = 0
-        for r in cell:
+        for r in group:
             count += 1
             if r.holds:
                 continue
             bad += 1
             inputs = " ".join(f"{k}={v}" for k, v in r.inputs.items())
-            buf.write(
+            lines.append(
                 f"COUNTEREXAMPLE {r.theorem_id} P={P} Q={Q} p={p} {inputs} lhs={r.lhs} "
                 f"rhs={r.rhs} mod p^{r.modulus_exponent}"
                 + (f" error={r.error}" if r.error else "")
                 + "\n"
             )
-        # rho and eps depend on (P, Q, p) alone: any report of the cell has them.
+        # rho and eps depend on (P, Q, p) alone: any report of the group has them.
         status = "all hold" if not bad else f"{bad} FAILED"
-        buf.write(f"P={P} Q={Q} p={p} rho={r.rho} eps={r.epsilon}: {count} checks, {status}\n")
+        lines.append(f"P={P} Q={Q} p={p} rho={r.rho} eps={r.epsilon}: {count} checks, {status}\n")
+    return "".join(lines)
+
+
+def _emit_records(batches, fmt, out_path, parser) -> tuple[int, int]:
+    """Write the header, each rendered batch as it arrives (empty ones are
+    None and skipped), then the footer or the totals, into one buffer, and
+    write that once at the end, so an IO failure leaves no partial report.
+    Returns (checked, held)."""
+    buf = io.StringIO()
+    checked = held = 0
+    if fmt == "json":
+        buf.write('{\n  "records": [')
+    elif fmt == "csv":
+        csv.writer(buf).writerow(RECORD_FIELDS)
+    for batch in batches:
+        if not batch:
+            continue
+        text, count, ok = batch
+        if fmt == "json" and checked:
+            buf.write(",")
+        buf.write(text)
         checked += count
-        held += count - bad
-    buf.write(f"checked={checked} hold={held} failed={checked - held}\n")
+        held += ok
+    if fmt == "json":
+        buf.write("\n  ]\n}\n" if checked else "]\n}\n")
+    elif fmt == "text":
+        buf.write(f"checked={checked} hold={held} failed={checked - held}\n")
+    _write(buf.getvalue(), out_path, parser)
     return checked, held
 
 
-def _finish(reports, args, parser) -> int:
-    """Emit a sweep's reports; exit code 0 when every check held, else 1."""
-    checked, held = _emit_records(reports, args.format, args.out, parser)
+def _finish(batches, args, parser) -> int:
+    """Emit a sweep's rendered batches; exit code 0 when every check held, else 1."""
+    checked, held = _emit_records(batches, args.format, args.out, parser)
     if args.format != "text" or args.out:
         print(f"checked={checked} hold={held} failed={checked - held}", file=sys.stderr)
     return 0 if held == checked else 1
@@ -212,17 +229,19 @@ def _run_verify(args, parser) -> int:
     lmax = args.kmax if args.lmax is None else args.lmax
     ls = tuple(range(lmax + 1))
     tasks = [
-        (params.P, params.Q, p, theorems, ks, ls)
+        (params.P, params.Q, p, theorems, ks, ls, args.format)
         for params in params_list
         for p in primes_in_range(args.pmin, args.pmax)
     ]
-    reports = _map_cells(_verify_cell, tasks, args.jobs)
+    batches = _map_cells(_verify_cell, tasks, args.jobs)
     if args.cross_check:
-        reports = itertools.chain(
-            reports,
-            _cross_check_reports(params_list, args.pmin, args.pmax, args.cross_check, args.seed),
+        # Made in this process, as one batch of its own; map defers it until
+        # the cells are written.
+        oracle = _cross_check_reports(
+            params_list, args.pmin, args.pmax, args.cross_check, args.seed
         )
-    return _finish(reports, args, parser)
+        batches = itertools.chain(batches, map(_render, [oracle], [args.format]))
+    return _finish(batches, args, parser)
 
 
 def _run_search(args, parser) -> int:
@@ -272,7 +291,7 @@ def _run_search(args, parser) -> int:
 def _run_lemmas(args, parser) -> int:
     params_list = _params_list(args, parser)
     tasks = [
-        (params.P, params.Q, p)
+        (params.P, params.Q, p, args.format)
         for params in params_list
         for p in primes_in_range(max(args.pmin, 7), args.pmax)
     ]
@@ -319,6 +338,13 @@ def _run_table(args, parser) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lucanomial",
@@ -337,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pmax", type=int, required=True)
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--out", help="write the report to this path instead of stdout")
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        sp.add_argument("--jobs", type=int, default=_usable_cpus())
         sp.add_argument("--seed", type=int, default=0)
 
     v = sub.add_parser("verify", help="run theorem verifications over a prime range")

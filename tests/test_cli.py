@@ -20,7 +20,7 @@ from lucanomial import (
     sweep,
 )
 from lucanomial import cli
-from lucanomial.cli import _emit_records, build_parser, main
+from lucanomial.cli import _emit_records, _render, build_parser, main
 
 FIB = LucasParams(1, -1)
 
@@ -110,17 +110,44 @@ def test_verify_text_summary(capsys):
 
 
 def test_parallel_output_matches_serial(tmp_path):
-    for args in (
-        "verify --grid 2,2 --theorem N --pmax 30 --kmax 2 --format json".split(),
-        "verify --grid 2,2 --theorem N --pmax 30 --kmax 2 --format text".split(),
-        "lemmas --grid 1,1 --pmax 60 --format csv".split(),
+    sweep_n = "verify --grid 2,2 --theorem N --pmax 30 --kmax 2"
+    for args, min_bytes in (
+        (f"{sweep_n} --format json", 100),
+        (f"{sweep_n} --format text", 100),
+        ("lemmas --grid 1,1 --pmax 60 --format csv", 100),
+        (f"{sweep_n} --cross-check 20 --format json", 100),
+        (f"{sweep_n} --cross-check 20 --format text", 100),
+        ("verify --grid 2,2 --pmin 0 --pmax 1 --format json", 10),
     ):
+        args = args.split()
         serial = tmp_path / "serial.out"
         parallel = tmp_path / "parallel.out"
         assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
         assert main(args + ["--jobs", "4", "--out", str(parallel)]) == 0
         assert serial.read_bytes() == parallel.read_bytes(), args
-        assert serial.stat().st_size > 100, args
+        assert serial.stat().st_size > min_bytes, args
+
+
+def test_cross_check_is_its_own_text_group(capsys):
+    # The one oracle comparison of seed 19 has the last cell's (P, Q, p): it
+    # gets its own summary line instead of adding to the cell's count.
+    argv = "verify --P 1 --Q -1 --theorem N --pmax 23 --kmax 1 --cross-check 1 --seed 19"
+    assert main(argv.split() + ["--format", "text", "--jobs", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-3:] == [
+        "P=1 Q=-1 p=23 rho=24 eps=-1: 2 checks, all hold",
+        "P=1 Q=-1 p=23 rho=24 eps=-1: 1 checks, all hold",
+        "checked=11 hold=11 failed=0",
+    ]
+
+
+def test_jobs_default_is_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    for command in ("verify", "search", "lemmas"):
+        args = build_parser().parse_args([command, "--P", "1", "--Q", "-1", "--pmax", "9"])
+        assert args.jobs == 3, command
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert build_parser().parse_args(["verify", "--grid", "1,1", "--pmax", "9"]).jobs == 1
 
 
 def _json_oracle(reports) -> str:
@@ -186,19 +213,21 @@ def test_reports_match_the_oracle_encoders(tmp_path, capsys):
     )
     for prime_range, reports in cases:
         for fmt, oracle in ORACLES.items():
-            out = tmp_path / f"report.{fmt}"
-            argv = ["verify", "--grid", "2,2", "--kmax", "2", "--format", fmt, "--jobs", "1"]
-            assert main(argv + prime_range + ["--out", str(out)]) == 0
-            assert out.read_bytes() == oracle(reports).encode(), (fmt, prime_range)
-            assert capsys.readouterr().err == (
-                f"checked={len(reports)} hold={len(reports)} failed=0\n"
-            )
+            for jobs in ("1", "2"):
+                out = tmp_path / f"report.{fmt}"
+                argv = ["verify", "--grid", "2,2", "--kmax", "2", "--format", fmt, "--jobs", jobs]
+                assert main(argv + prime_range + ["--out", str(out)]) == 0
+                assert out.read_bytes() == oracle(reports).encode(), (fmt, prime_range, jobs)
+                assert capsys.readouterr().err == (
+                    f"checked={len(reports)} hold={len(reports)} failed=0\n"
+                )
 
 
 def test_emitter_escapes_like_the_oracle(tmp_path):
     rank = rank_of_appearance(FIB, 7)
     errors = (
-        None, '"', "\\", "{", "}", '},\n  "holds": true', "ρ = p − ε, 𝔽_p", "tab\there",
+        None, '"', "\\", "{", "}", '},\n  "holds": true', "},\n      {", "ρ = p − ε, 𝔽_p",
+        "tab\there",
     )
     reports = [
         CongruenceReport(
@@ -209,7 +238,9 @@ def test_emitter_escapes_like_the_oracle(tmp_path):
     parser = build_parser()
     for fmt, oracle in ORACLES.items():
         out = tmp_path / f"report.{fmt}"
-        assert _emit_records(iter(reports), fmt, str(out), parser) == (len(reports), 2)
+        # Two fragments, split at the cell boundary, with an empty batch between.
+        batches = [_render(reports[:-1], fmt), _render([], fmt), _render(reports[-1:], fmt)]
+        assert _emit_records(iter(batches), fmt, str(out), parser) == (len(reports), 2)
         with open(out, newline="") as fh:
             assert fh.read() == oracle(reports), fmt
 

@@ -88,10 +88,13 @@ def _map_cells(worker, tasks, jobs) -> Iterator:
     # `import lucanomial.cli` takes, which every run pays.
     from concurrent.futures import ProcessPoolExecutor
 
+    # The fork start method starts every worker at the first submit, so ask
+    # for no more workers than there are cells.
+    workers = min(jobs, len(tasks))
     # A rendered cell is a short string, so finer chunks cost little to ship
     # and even out the finish: the slowest chunk no longer sets the tail.
-    chunk = max(1, len(tasks) // (jobs * 16))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(tasks) // (workers * 16))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(worker, tasks, chunksize=chunk)
 
 
@@ -123,13 +126,16 @@ def _fail(parser, message: str) -> NoReturn:
     parser.exit(2, f"{parser.prog}: error: {message}\n")
 
 
-def _write(text: str, out_path, parser) -> None:
+def _write(parts: list[str], out_path, parser) -> None:
+    """Write the report's parts in order, to stdout or to `out_path`, which is
+    opened only now.  The parts are written one by one, never joined, so the
+    report is held once."""
     if not out_path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
         return
     try:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         _fail(parser, f"cannot write {out_path}: {exc.strerror or exc}")
 
@@ -155,8 +161,8 @@ def _render(reports, fmt) -> tuple[str, int, int] | None:
         text = "\n    {\n      " + body.replace("},\n      {", "\n    },\n    {\n      ") + "\n    }"
     elif fmt == "csv":
         buf = io.StringIO()
-        rows = (r.to_record() for r in reports)
-        csv.writer(buf).writerows([rec[f] for f in RECORD_FIELDS] for rec in rows)  # None -> ""
+        # to_record builds each dict in RECORD_FIELDS order: its values are the row.
+        csv.writer(buf).writerows(r.to_record().values() for r in reports)  # None -> ""
         text = buf.getvalue()
     else:
         text = _text_lines(reports)
@@ -187,30 +193,33 @@ def _text_lines(reports) -> str:
 
 
 def _emit_records(batches, fmt, out_path, parser) -> tuple[int, int]:
-    """Write the header, each rendered batch as it arrives (empty ones are
-    None and skipped), then the footer or the totals, into one buffer, and
-    write that once at the end, so an IO failure leaves no partial report.
+    """Collect the header, each rendered batch as it arrives (empty ones are
+    None and skipped), then the footer or the totals, as a list of parts, and
+    write them only once every batch is in, so a failure midway leaves no
+    partial report.  Each part is held once: nothing joins or copies them.
     Returns (checked, held)."""
-    buf = io.StringIO()
+    parts = []
     checked = held = 0
     if fmt == "json":
-        buf.write('{\n  "records": [')
+        parts.append('{\n  "records": [')
     elif fmt == "csv":
-        csv.writer(buf).writerow(RECORD_FIELDS)
+        header = io.StringIO()
+        csv.writer(header).writerow(RECORD_FIELDS)
+        parts.append(header.getvalue())
     for batch in batches:
         if not batch:
             continue
         text, count, ok = batch
         if fmt == "json" and checked:
-            buf.write(",")
-        buf.write(text)
+            parts.append(",")
+        parts.append(text)
         checked += count
         held += ok
     if fmt == "json":
-        buf.write("\n  ]\n}\n" if checked else "]\n}\n")
+        parts.append("\n  ]\n}\n" if checked else "]\n}\n")
     elif fmt == "text":
-        buf.write(f"checked={checked} hold={held} failed={checked - held}\n")
-    _write(buf.getvalue(), out_path, parser)
+        parts.append(f"checked={checked} hold={held} failed={checked - held}\n")
+    _write(parts, out_path, parser)
     return checked, held
 
 
@@ -284,7 +293,7 @@ def _run_search(args, parser) -> int:
             )
             + f"\nfound={len(rows)}\n"
         )
-    _write(text, args.out, parser)
+    _write([text], args.out, parser)
     return 0
 
 
@@ -334,7 +343,7 @@ def _run_table(args, parser) -> int:
     else:
         head = f"P={params.P} Q={params.Q} p={table.p} rho={table.rho} mod p^{table.k}\n"
         text = head + "".join(f"{k} = {v}\n" for k, v in entries.items())
-    _write(text, args.out, parser)
+    _write([text], args.out, parser)
     return 0
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from operator import mul
 from typing import Sequence
 
 from .lucas import LucasParams, lucas_uv_mod
@@ -166,15 +165,24 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
         invs[t - 1] = inv * prefix[t - 1] % modulus
         inv = inv * us[t] % modulus
     xs = [(2 * u1 * iu - P) % modulus for u1, iu in zip(us[2:], invs)]
-    cols = [xs]  # x^1 .. x^POWER_MAX, term by term
-    for _ in range(POWER_MAX - 1):
-        cols.append([c * x % modulus for c, x in zip(cols[-1], xs)])
-    power = (len(xs) % modulus, *(sum(c) % modulus for c in cols))
-    ws = [4 * q * iu * iu % modulus for q, iu in zip(qs, invs)]  # 4 Q^t / U_t^2
-    weighted = (
-        sum(ws) % modulus,
-        *(sum(map(mul, ws, c)) % modulus for c in cols[:WEIGHTED_MAX]),
-    )
+    # One pass over the terms: x^2, x^3 and the weight 4 Q^t / U_t^2 once per
+    # t, and every sum left unreduced until the end.
+    s1 = s2 = s3 = s4 = s5 = w0 = w1 = w2 = w3 = 0
+    for x, q, iu in zip(xs, qs, invs):
+        x2 = x * x % modulus
+        x3 = x2 * x % modulus
+        w = 4 * q * iu * iu % modulus
+        s1 += x
+        s2 += x2
+        s3 += x3
+        s4 += x2 * x2
+        s5 += x2 * x3
+        w0 += w
+        w1 += w * x
+        w2 += w * x2
+        w3 += w * x3
+    power = tuple(s % modulus for s in (len(xs), s1, s2, s3, s4, s5))
+    weighted = tuple(w % modulus for w in (w0, w1, w2, w3))
     if p >= 7:
         monomial = _monomials_from_powers(power, modulus)
     else:

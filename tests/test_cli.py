@@ -1,11 +1,14 @@
 """CLI behavior: subcommands, report formats, exit codes, determinism."""
 
+import concurrent.futures
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from lucanomial import (
     LucasParams,
     rank_of_appearance,
     sweep,
+    verify_sum_lemmas,
 )
 from lucanomial import cli
 from lucanomial.cli import _emit_records, _render, build_parser, main
@@ -243,6 +247,109 @@ def test_emitter_escapes_like_the_oracle(tmp_path):
         assert _emit_records(iter(batches), fmt, str(out), parser) == (len(reports), 2)
         with open(out, newline="") as fh:
             assert fh.read() == oracle(reports), fmt
+
+
+def test_records_are_built_in_schema_order():
+    # The CSV rows are the record dicts' values, so each dict must be built in
+    # RECORD_FIELDS order, for every kind of report.
+    rank = rank_of_appearance(FIB, 11)
+    reports = [sweep([FIB], (11, 11), (tid,), range(2))[0] for tid in ("N", "LjWe", "P6")]
+    reports.append(verify_sum_lemmas(FIB, rank)[0])
+    reports.append(CongruenceReport("LjWe", FIB, rank, {"k": 1, "l": 0}, 3, 1, 2, False, "boom"))
+    for r in reports:
+        assert tuple(r.to_record()) == RECORD_FIELDS, r.theorem_id
+
+
+class _CountingStdout(io.TextIOBase):
+    """A stdout that keeps nothing and only counts the characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def _synthetic_batches(count, size):
+    """`count` distinct json batches of about `size` characters, each made
+    only when it is consumed, as a worker's fragment arrives."""
+    for i in range(count):
+        yield f'\n    {{\n      "i": {i},\n      "pad": "{"x" * size}"\n    }}', 1, 1
+
+
+def test_emitter_holds_the_report_once(tmp_path):
+    parser = build_parser()
+
+    def traced_peak(out_path) -> int:
+        tracemalloc.start()
+        try:
+            batches = _synthetic_batches(1000, 4000)
+            assert _emit_records(batches, "json", out_path, parser) == (1000, 1000)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    stdout = _CountingStdout()
+    with contextlib.redirect_stdout(stdout):
+        peak = traced_peak(None)
+    assert stdout.size > 4_000_000
+    assert peak < 1.5 * stdout.size, peak / stdout.size
+    out = tmp_path / "report.json"
+    peak = traced_peak(str(out))
+    assert out.stat().st_size == stdout.size
+    assert peak < 1.5 * stdout.size, peak / stdout.size
+    assert [r["i"] for r in json.loads(out.read_text())["records"]] == list(range(1000))
+
+
+def test_sweep_that_dies_midway_writes_nothing(tmp_path, capsys):
+    cells = [sweep([FIB], (p, p), ("N",), range(2)) for p in (7, 11, 19)]
+
+    def dying_batches(fmt):
+        for reports in cells:
+            yield _render(reports, fmt)
+        raise RuntimeError("worker died")
+
+    parser = build_parser()
+    out = tmp_path / "report.out"
+    out.write_bytes(b"an earlier report\n")
+    for fmt in ORACLES:
+        for path in (str(out), None):
+            with pytest.raises(RuntimeError, match="worker died"):
+                _emit_records(dying_batches(fmt), fmt, path, parser)
+    assert out.read_bytes() == b"an earlier report\n"
+    assert capsys.readouterr().out == ""
+
+
+def test_pool_starts_no_more_workers_than_cells(monkeypatch, capsys):
+    pools = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for argv, workers in (
+        ("verify --P 1 --Q -1 --pmax 7 --format json", 2),  # 2 cells: p = 5, 7
+        ("verify --grid 1,1 --pmax 7 --format json", 4),  # 12 cells
+    ):
+        assert main(argv.split() + ["--jobs", "4"]) == 0
+        pooled = capsys.readouterr()
+        assert pools.pop() == workers, argv
+        assert main(argv.split() + ["--jobs", "1"]) == 0
+        assert capsys.readouterr() == pooled, argv
+    assert pools == []
 
 
 def test_counterexample_exits_one(tmp_path, capsys, monkeypatch):

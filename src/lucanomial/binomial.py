@@ -237,13 +237,13 @@ class Cell:
             raise ValueError(f"precision {j} outside 1..{self.k}")
         if m < 0 or n < 0:
             raise ValueError("indices must be nonnegative")
-        if m > self.m_max:
-            raise ValueError(f"index {m} beyond the cell's m_max = {self.m_max}")
         p, pj = self.p, self.p**j
         if n == 0:
             return ValuedResidue(p, j, 0, 1 % pj)
         if m < n:
             return ValuedResidue.exact_zero(p, j)
+        if m > self.m_max:
+            raise ValueError(f"index {m} beyond the cell's m_max = {self.m_max}")
         zp = self.params.zero_period
         if zp is not None:
             above, below = m // zp - (m - n) // zp, n // zp
@@ -278,6 +278,14 @@ def lucanomial_residue(
     strips powers of p; it works for any odd prime p not dividing Q.  "auto"
     picks the rank path whenever it is allowed.  Both paths agree exactly.
     """
+    if cell is not None and method != "exact":
+        # The cell proved p an odd prime coprime to 2QD when it was built, and
+        # its residue checks k and the indices: only its identity is left.
+        if method not in ("auto", "rank"):
+            raise ValueError(f"unknown method {method!r}")
+        if cell.p != p or cell.params != params:
+            raise ValueError("cell belongs to another (P, Q, p)")
+        return cell.residue(m, n, k)
     if k < 1:
         raise ValueError("precision k must be positive")
     if p == 2 or not is_prime(p):
@@ -299,11 +307,7 @@ def lucanomial_residue(
         return ValuedResidue.from_integer(lucanomial_exact(params, m, n).value, p, k)
     if (2 * params.Q * params.D) % p == 0:
         raise ValueError("rank path requires p coprime to 2QD")
-    if cell is None:
-        cell = Cell(params, p, m, k)
-    elif cell.p != p or cell.params != params:
-        raise ValueError("cell belongs to another (P, Q, p)")
-    return cell.residue(m, n, k)
+    return Cell(params, p, m, k).residue(m, n, k)
 
 
 def integrality_sweep(params: LucasParams, m_max: int) -> bool:

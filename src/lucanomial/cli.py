@@ -14,7 +14,9 @@ import itertools
 import json
 import os
 import random
+import shutil
 import sys
+import tempfile
 from typing import Iterator, NoReturn
 
 from .binomial import lucanomial_residue
@@ -126,16 +128,19 @@ def _fail(parser, message: str) -> NoReturn:
     parser.exit(2, f"{parser.prog}: error: {message}\n")
 
 
-def _write(parts: list[str], out_path, parser) -> None:
-    """Write the report's parts in order, to stdout or to `out_path`, which is
-    opened only now.  The parts are written one by one, never joined, so the
-    report is held once."""
+_CHUNK = 64 * 1024
+
+
+def _write(report, out_path, parser) -> None:
+    """Copy the readable text stream `report` to stdout or to `out_path`,
+    which is opened only now, in chunks through the destination's own write,
+    so no more than one chunk of the report is held."""
     if not out_path:
-        sys.stdout.writelines(parts)
+        shutil.copyfileobj(report, sys.stdout, _CHUNK)
         return
     try:
         with open(out_path, "w") as fh:
-            fh.writelines(parts)
+            shutil.copyfileobj(report, fh, _CHUNK)
     except OSError as exc:
         _fail(parser, f"cannot write {out_path}: {exc.strerror or exc}")
 
@@ -193,33 +198,48 @@ def _text_lines(reports) -> str:
 
 
 def _emit_records(batches, fmt, out_path, parser) -> tuple[int, int]:
-    """Collect the header, each rendered batch as it arrives (empty ones are
-    None and skipped), then the footer or the totals, as a list of parts, and
-    write them only once every batch is in, so a failure midway leaves no
-    partial report.  Each part is held once: nothing joins or copies them.
+    """Spool the header, each rendered batch as it arrives (empty ones are
+    None and skipped), then the footer or the totals, to an unnamed temporary
+    file, and copy it to the destination only once every batch is in, so a
+    failure midway leaves no partial report and no more than one fragment is
+    held.  A spool that cannot be made or written exits 2.
     Returns (checked, held)."""
-    parts = []
-    checked = held = 0
-    if fmt == "json":
-        parts.append('{\n  "records": [')
-    elif fmt == "csv":
-        header = io.StringIO()
-        csv.writer(header).writerow(RECORD_FIELDS)
-        parts.append(header.getvalue())
-    for batch in batches:
-        if not batch:
-            continue
-        text, count, ok = batch
-        if fmt == "json" and checked:
-            parts.append(",")
-        parts.append(text)
-        checked += count
-        held += ok
-    if fmt == "json":
-        parts.append("\n  ]\n}\n" if checked else "]\n}\n")
-    elif fmt == "text":
-        parts.append(f"checked={checked} hold={held} failed={checked - held}\n")
-    _write(parts, out_path, parser)
+
+    def spooled(op, *args, **kwargs):
+        """Run one spool operation; an OSError there (a full TMPDIR, say) exits 2."""
+        try:
+            return op(*args, **kwargs)
+        except OSError as exc:
+            _fail(parser, f"cannot spool the report: {exc.strerror or exc}")
+
+    # newline="" keeps the csv module's "\r\n" row ends as they are.
+    with spooled(tempfile.TemporaryFile, "w+", encoding="utf-8", newline="") as spool:
+
+        def put(text: str) -> None:
+            spooled(spool.write, text)
+
+        checked = held = 0
+        if fmt == "json":
+            put('{\n  "records": [')
+        elif fmt == "csv":
+            header = io.StringIO()
+            csv.writer(header).writerow(RECORD_FIELDS)
+            put(header.getvalue())
+        for batch in batches:
+            if not batch:
+                continue
+            text, count, ok = batch
+            if fmt == "json" and checked:
+                put(",")
+            put(text)
+            checked += count
+            held += ok
+        if fmt == "json":
+            put("\n  ]\n}\n" if checked else "]\n}\n")
+        elif fmt == "text":
+            put(f"checked={checked} hold={held} failed={checked - held}\n")
+        spooled(spool.seek, 0)  # flushes what the spool still buffers
+        _write(spool, out_path, parser)
     return checked, held
 
 
@@ -293,7 +313,7 @@ def _run_search(args, parser) -> int:
             )
             + f"\nfound={len(rows)}\n"
         )
-    _write([text], args.out, parser)
+    _write(io.StringIO(text), args.out, parser)
     return 0
 
 
@@ -343,7 +363,7 @@ def _run_table(args, parser) -> int:
     else:
         head = f"P={params.P} Q={params.Q} p={table.p} rho={table.rho} mod p^{table.k}\n"
         text = head + "".join(f"{k} = {v}\n" for k, v in entries.items())
-    _write([text], args.out, parser)
+    _write(io.StringIO(text), args.out, parser)
     return 0
 
 
@@ -417,8 +437,9 @@ def main(argv=None) -> int:
     if args.command != "table":
         if args.pmin > args.pmax:
             parser.error("need pmin <= pmax")
-        if getattr(args, "kmax", 0) < 0:
-            parser.error("kmax must be nonnegative")
+        for name in ("kmax", "lmax", "cross_check"):
+            if (getattr(args, name, None) or 0) < 0:
+                parser.error(f"{name.replace('_', '-')} must be nonnegative")
         if args.jobs < 1:
             parser.error("jobs must be positive")
     if args.command == "verify":

@@ -152,6 +152,20 @@ def verify_ljunggren(
     )
 
 
+def _table(
+    params: LucasParams, p: int, rank: RankInfo, table: SumsTable | None, precision: int
+) -> SumsTable:
+    """The caller's sums table, or a new one where it is missing or too coarse;
+    a table of other params, p or rho is refused."""
+    if table is not None and (
+        table.params != params or table.p != p or table.rho != rank.rho
+    ):
+        raise ValueError("sums table belongs to another (P, Q, p) or rank")
+    if table is None or table.k < precision:
+        table = compute_sums(params, rank, precision)
+    return table
+
+
 def _central_lhs(params: LucasParams, rank: RankInfo, j: int, cell: Cell | None) -> int:
     rho = rank.rho
     return lucanomial_residue(params, 2 * rho - 1, rho - 1, rank.p, j, cell=cell).residue()
@@ -191,14 +205,15 @@ def verify_fifth_power(
 
     Here U/V is U_rho/V_rho, s1 and s11 the tabulated sums.  Needs a prime
     p >= 7 of maximal rank.  A `cell` for (params, p) with m_max >= 2 rho - 1
-    and precision >= 5 answers the left side.
+    and precision >= 5 answers the left side; a `table` of (params, p) with
+    precision below 5 is rebuilt, and one of other params, p or rho is
+    refused.
     """
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
     rank = _maximal_rank(params, p, 7, rank)
     rho, eps = rank.rho, rank.epsilon
-    if table is None:
-        table = compute_sums(params, rank, 5)
+    table = _table(params, p, rank, table, 5)
     modulus = p**5
     lhs = _central_lhs(params, rank, 5, cell)
     _, v_r, uv = _uv_ratio(params, rho, modulus)
@@ -249,12 +264,12 @@ def verify_sixth_power(
 
     Needs a prime p >= 7 of maximal rank (3 is then invertible mod p^6).  A
     `cell` for (params, p) with m_max >= 2 rho - 1 and precision 6 answers
-    the left side.
+    the left side; a `table` of (params, p) with precision below 6 is
+    rebuilt, and one of other params, p or rho is refused.
     """
     rank = _maximal_rank(params, p, 7, rank)
     rho = rank.rho
-    if table is None or table.k < 6:
-        table = compute_sums(params, rank, 6)
+    table = _table(params, p, rank, table, 6)
     modulus = p**6
     lhs = _central_lhs(params, rank, 6, cell)
     _, _, uv = _uv_ratio(params, rho, modulus)

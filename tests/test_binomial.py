@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
@@ -180,6 +181,21 @@ def test_residue_rejects_bad_inputs():
     with pytest.raises(ValueError):
         # rank path is off limits when p divides 2QD
         lucanomial_residue(LucasParams(2, 1), 10, 5, 5, 3, method="rank")
+
+
+@pytest.mark.parametrize("a", [1, -1, 2, -2, 3])
+def test_zero_discriminant_closed_form(a):
+    # With P = 2a and Q = a^2 (D = 0), U_t = t a^(t-1), so
+    # binom(m, n)_U = binom(m, n) a^(n(m-n)): an oracle that shares no code
+    # with the recurrence, the exact quotient or the residue paths.
+    params = LucasParams(2 * a, a * a)
+    for m in range(51):
+        for n in range(m + 2):
+            closed = comb(m, n) * a ** (n * (m - n)) if n <= m else 0
+            assert lucanomial_exact(params, m, n).value == closed, (m, n)
+            for p in (5, 7, 11):
+                expected = ValuedResidue.from_integer(closed, p, 4)
+                assert lucanomial_residue(params, m, n, p, 4) == expected, (m, n, p)
 
 
 @pytest.mark.parametrize("P,Q", [(1, -1), (3, 5), (2, 2), (-3, 2), (1, 1)])

@@ -3,11 +3,13 @@
 import concurrent.futures
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -278,28 +280,34 @@ def _synthetic_batches(count, size):
         yield f'\n    {{\n      "i": {i},\n      "pad": "{"x" * size}"\n    }}', 1, 1
 
 
-def test_emitter_holds_the_report_once(tmp_path):
+def test_emitter_peak_does_not_grow_with_the_report(tmp_path):
+    # The report is spooled to a temporary file and copied out in chunks, so
+    # the traced peak stays under one bound, a quarter of the smaller report,
+    # whether the report is 4 MB or 16 MB.
     parser = build_parser()
+    bound = 1_000_000
 
-    def traced_peak(out_path) -> int:
+    def traced_peak(count, out_path) -> int:
         tracemalloc.start()
         try:
-            batches = _synthetic_batches(1000, 4000)
-            assert _emit_records(batches, "json", out_path, parser) == (1000, 1000)
+            batches = _synthetic_batches(count, 4000)
+            assert _emit_records(batches, "json", out_path, parser) == (count, count)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    stdout = _CountingStdout()
-    with contextlib.redirect_stdout(stdout):
-        peak = traced_peak(None)
-    assert stdout.size > 4_000_000
-    assert peak < 1.5 * stdout.size, peak / stdout.size
-    out = tmp_path / "report.json"
-    peak = traced_peak(str(out))
-    assert out.stat().st_size == stdout.size
-    assert peak < 1.5 * stdout.size, peak / stdout.size
-    assert [r["i"] for r in json.loads(out.read_text())["records"]] == list(range(1000))
+    for count in (1000, 4000):
+        stdout = _CountingStdout()
+        assert not hasattr(stdout, "buffer")
+        with contextlib.redirect_stdout(stdout):
+            peak = traced_peak(count, None)
+        assert stdout.size > count * 4000
+        assert peak < bound, (count, peak)
+        out = tmp_path / "report.json"
+        peak = traced_peak(count, str(out))
+        assert out.stat().st_size == stdout.size
+        assert peak < bound, (count, peak)
+        assert [r["i"] for r in json.loads(out.read_text())["records"]] == list(range(count))
 
 
 def test_sweep_that_dies_midway_writes_nothing(tmp_path, capsys):
@@ -319,6 +327,57 @@ def test_sweep_that_dies_midway_writes_nothing(tmp_path, capsys):
                 _emit_records(dying_batches(fmt), fmt, path, parser)
     assert out.read_bytes() == b"an earlier report\n"
     assert capsys.readouterr().out == ""
+
+
+class _FullSpool(io.StringIO):
+    """A spool on a full disk: its `failing` operation, "write" or "seek"
+    (which flushes what the spool buffers), raises ENOSPC."""
+
+    failing = "write"
+
+    def __init__(self, *args, **kwargs):
+        super().__init__()
+
+    def _check(self, op):
+        if op == self.failing:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        self._check("write")
+        return super().write(text)
+
+    def seek(self, *args):
+        self._check("seek")
+        return super().seek(*args)
+
+
+def _no_spool(*args, **kwargs):
+    raise OSError(errno.ENOENT, os.strerror(errno.ENOENT))
+
+
+def test_spool_that_fails_exits_two(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "report.out"
+    out.write_bytes(b"an earlier report\n")
+    argv = "verify --P 1 --Q -1 --theorem N --pmax 30 --kmax 1 --jobs 1".split()
+    for spool, failing, reason in (
+        (_FullSpool, "write", "No space left on device"),
+        (_FullSpool, "seek", "No space left on device"),
+        (_no_spool, None, "No such file"),
+    ):
+        monkeypatch.setattr(tempfile, "TemporaryFile", spool)
+        monkeypatch.setattr(_FullSpool, "failing", failing)
+        for fmt in ORACLES:
+            for dest in (["--out", str(out)], []):
+                with pytest.raises(SystemExit) as err:
+                    main(argv + ["--format", fmt] + dest)
+                assert err.value.code == 2, (failing, fmt, dest)
+                captured = capsys.readouterr()
+                assert captured.out == "", (failing, fmt, dest)
+                assert captured.err.startswith(
+                    f"lucanomial: error: cannot spool the report: {reason}"
+                )
+                assert captured.err.count("\n") == 1
+    assert out.read_bytes() == b"an earlier report\n"
 
 
 def test_pool_starts_no_more_workers_than_cells(monkeypatch, capsys):
@@ -475,6 +534,9 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["verify", "--P", "1", "--Q", "-1", "--pmin", "30", "--pmax", "20"],
         ["verify", "--P", "1", "--Q", "-1", "--pmax", "20", "--theorem", "bogus"],
         ["verify", "--grid", "oops", "--pmax", "20"],
+        ["verify", "--P", "1", "--Q", "-1", "--pmax", "20", "--kmax", "-1"],
+        ["verify", "--P", "1", "--Q", "-1", "--theorem", "LjWe", "--pmax", "30", "--lmax", "-1"],
+        ["verify", "--P", "1", "--Q", "-1", "--pmax", "20", "--cross-check", "-3"],
         ["table", "--P", "1", "--Q", "-1", "--p", "9"],
         ["table", "--P", "1", "--Q", "7", "--p", "7"],
         ["table", "--P", "1", "--Q", "-1", "--p", "11", "--precision", "0"],

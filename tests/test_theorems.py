@@ -1,5 +1,6 @@
 """Theorem verifiers: frozen examples, classical reductions, sweeps."""
 
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -9,6 +10,7 @@ from lucanomial import (
     NonMaximalRankError,
     THEOREM_IDS,
     NoRankError,
+    compute_sums,
     lucanomial_residue,
     rank_of_appearance,
     sweep,
@@ -155,6 +157,38 @@ def test_sixth_power_fibonacci():
     assert verify_sixth_power(FIB, 11).holds
     with pytest.raises(NonMaximalRankError):
         verify_sixth_power(FIB, 13)
+
+
+def test_verifiers_rebuild_a_coarse_sums_table():
+    # A table below the verifier's precision once gave false counterexamples
+    # for variants 1, 2 and 4 at these primes; it is now rebuilt.
+    for p in (11, 19, 31):
+        rank = rank_of_appearance(FIB, p)
+        for precision in (1, 3, 5):
+            coarse = compute_sums(FIB, rank, precision)
+            for variant in (1, 2, 3, 4):
+                r = verify_fifth_power(FIB, p, variant, rank, coarse)
+                assert r == verify_fifth_power(FIB, p, variant, rank), (p, precision, variant)
+                assert r.holds
+            r = verify_sixth_power(FIB, p, rank, coarse)
+            assert r == verify_sixth_power(FIB, p, rank) and r.holds, (p, precision)
+
+
+def test_verifiers_refuse_a_sums_table_of_another_cell():
+    rank = rank_of_appearance(FIB, 11)
+    table = compute_sums(FIB, rank, 6)
+    for other in (
+        compute_sums(NAT, rank_of_appearance(NAT, 11), 6),  # other params
+        compute_sums(FIB, rank_of_appearance(FIB, 19), 6),  # other p and rank
+        replace(table, p=13),  # other p
+        replace(table, rho=rank.rho + 1),  # other rank
+    ):
+        for variant in (1, 2, 3, 4):
+            with pytest.raises(ValueError, match="another"):
+                verify_fifth_power(FIB, 11, variant, rank, other)
+        with pytest.raises(ValueError, match="another"):
+            verify_sixth_power(FIB, 11, rank, other)
+    assert verify_sixth_power(FIB, 11, rank, table).holds
 
 
 def test_lhs_path_independence():

@@ -21,27 +21,25 @@ from typing import Iterator, NoReturn
 
 from .binomial import lucanomial_residue
 from .lucas import LucasParams
-from .ranks import primes_in_range, rank_of_appearance
+from .ranks import maximal_ranks, primes_in_range, rank_of_appearance
 from .reports import RECORD_FIELDS, CongruenceReport
 from .sums import compute_sums, verify_sum_lemmas
 from .theorems import THEOREM_IDS, sweep
 
-_THEOREM_CHOICES = THEOREM_IDS + ("P5", "all")
+
+def _family(tid: str) -> str:
+    """The `--theorem` token that selects a whole family: "P5" for "P5_1"."""
+    return tid.partition("_")[0]
+
+
+# Every id, then each family token that is not an id itself ("P5"), then "all".
+_THEOREM_CHOICES = tuple(dict.fromkeys(THEOREM_IDS + tuple(map(_family, THEOREM_IDS)) + ("all",)))
 
 
 def _expand_theorems(tokens: list[str]) -> tuple[str, ...]:
-    out: list[str] = []
-    for tok in tokens:
-        if tok == "all":
-            names = THEOREM_IDS
-        elif tok == "P5":
-            names = ("P5_1", "P5_2", "P5_3", "P5_4")
-        else:
-            names = (tok,)
-        for name in names:
-            if name not in out:
-                out.append(name)
-    return tuple(out)
+    """The ids the `--theorem` tokens select, in token then registry order, once each."""
+    ids = (tid for tok in tokens for tid in THEOREM_IDS if tok in ("all", tid, _family(tid)))
+    return tuple(dict.fromkeys(ids))
 
 
 def _params_list(args, parser) -> list[LucasParams]:
@@ -134,9 +132,19 @@ _CHUNK = 64 * 1024
 def _write(report, out_path, parser) -> None:
     """Copy the readable text stream `report` to stdout or to `out_path`,
     which is opened only now, in chunks through the destination's own write,
-    so no more than one chunk of the report is held."""
+    so no more than one chunk of the report is held.  A reader that closes
+    stdout early (`| head`) exits 2."""
     if not out_path:
-        shutil.copyfileobj(report, sys.stdout, _CHUNK)
+        try:
+            shutil.copyfileobj(report, sys.stdout, _CHUNK)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # What is still buffered goes to devnull, so the flush at
+            # shutdown cannot raise a second time.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            _fail(parser, f"cannot write to stdout: {exc.strerror or exc}")
         return
     try:
         with open(out_path, "w") as fh:
@@ -275,14 +283,11 @@ def _run_verify(args, parser) -> int:
 
 def _run_search(args, parser) -> int:
     params_list = _params_list(args, parser)
-    rows = []
-    for params in params_list:
-        for p in primes_in_range(max(args.pmin, 3), args.pmax):
-            if params.Q % p == 0:
-                continue
-            info = rank_of_appearance(params, p, exponents=args.exponents)
-            if info.maximal:
-                rows.append((params, info))
+    rows = [
+        (params, info)
+        for params in params_list
+        for info in maximal_ranks(params, args.pmin, args.pmax, args.exponents)
+    ]
     if args.format == "json":
         payload = [
             {

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .lucas import LucasParams, lucas_uv_mod
 
@@ -16,6 +17,7 @@ __all__ = [
     "rank_of_appearance",
     "rank_ladder",
     "euler_criterion_check",
+    "maximal_ranks",
     "find_maximal_rank_primes",
 ]
 
@@ -170,15 +172,21 @@ def euler_criterion_check(params: LucasParams, p: int) -> bool:
     return (u == 0) == (legendre(params.Q, p) == 1)
 
 
+def maximal_ranks(
+    params: LucasParams, p_min: int, p_max: int, exponents: int = 1
+) -> Iterator[RankInfo]:
+    """The rank of each odd prime in [p_min, p_max] not dividing Q whose rank
+    is p - epsilon, ascending, with prime-power ranks up to `exponents`."""
+    for p in primes_in_range(max(p_min, 3), p_max):
+        if params.Q % p == 0:
+            continue
+        info = rank_of_appearance(params, p, exponents)
+        if info.maximal:
+            yield info
+
+
 def find_maximal_rank_primes(params: LucasParams, p_min: int, p_max: int) -> list[RankInfo]:
     """All primes in [p_min, p_max] not dividing Q whose rank is p - epsilon, ascending."""
     if not 5 <= p_min <= p_max:
         raise ValueError("need 5 <= p_min <= p_max")
-    found = []
-    for p in primes_in_range(p_min, p_max):
-        if params.Q % p == 0:
-            continue
-        info = rank_of_appearance(params, p)
-        if info.maximal:
-            found.append(info)
-    return found
+    return list(maximal_ranks(params, p_min, p_max))

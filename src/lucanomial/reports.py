@@ -50,6 +50,18 @@ class CongruenceReport:
     error: str | None = None
     zero_cancellations: int = 0
 
+    @classmethod
+    def of(
+        cls, theorem_id: str, params: LucasParams, rank: RankInfo, inputs: dict[str, int],
+        j: int, lhs: int, rhs: int, error: str | None = None, zero_cancellations: int = 0,
+    ) -> CongruenceReport:
+        """The report of lhs = rhs mod p^j with both sides reduced; it holds
+        when they agree and no side condition failed (error is None)."""
+        modulus = rank.p**j
+        lhs, rhs = lhs % modulus, rhs % modulus
+        holds = lhs == rhs and error is None
+        return cls(theorem_id, params, rank, inputs, j, lhs, rhs, holds, error, zero_cancellations)
+
     @property
     def p(self) -> int:
         return self.rank.p

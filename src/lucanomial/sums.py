@@ -218,19 +218,7 @@ def verify_power_sums(
         j, rhs = 1, 0  # holds at any rank
     else:
         raise ValueError("even nu needs maximal rank and p >= nu + 3")
-    lhs = table.power[nu] % p**j
-    return CongruenceReport(
-        "power_sums", params, rank, {"k": nu}, j, lhs, rhs, lhs == rhs
-    )
-
-
-def _report(tid, params, rank, inputs, j, lhs, rhs, error=None):
-    modulus = rank.p**j
-    lhs %= modulus
-    rhs %= modulus
-    return CongruenceReport(
-        tid, params, rank, inputs, j, lhs, rhs, lhs == rhs and error is None, error
-    )
+    return CongruenceReport.of("power_sums", params, rank, {"k": nu}, j, table.power[nu], rhs)
 
 
 def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceReport]:
@@ -250,26 +238,21 @@ def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceRep
     table = compute_sums(params, rank, 5)
     M5 = table.modulus
     D, Q = params.D, params.Q
-    reports = []
+    reports = [
+        verify_power_sums(params, rank, nu, table) for nu in range(POWER_MAX + 1) if p >= nu + 3
+    ]
 
-    for nu in range(POWER_MAX + 1):
-        if p >= nu + 3:
-            reports.append(verify_power_sums(params, rank, nu, table))
+    def check(tid, inputs, j, lhs, rhs, error=None):
+        reports.append(CongruenceReport.of(tid, params, rank, inputs, j, lhs, rhs, error))
 
-    rhs_pair = D % p if eps == 1 else 0
-    reports.append(_report("pair_sum", params, rank, {}, 1, table.sigma(1, 1), rhs_pair))
-    reports.append(_report("triple_sum", params, rank, {}, 2, table.sigma(1, 1, 1), 0))
-    rhs_quad = D * D % p if eps == 1 else 0
-    reports.append(_report("quadruple_sum", params, rank, {}, 1, table.sigma(1, 1, 1, 1), rhs_quad))
+    check("pair_sum", {}, 1, table.sigma(1, 1), D if eps == 1 else 0)
+    check("triple_sum", {}, 2, table.sigma(1, 1, 1), 0)
+    check("quadruple_sum", {}, 1, table.sigma(1, 1, 1, 1), D * D if eps == 1 else 0)
     # The quintuple sum vanishes mod p^2 once p >= 11; at p = 7 the chain that
     # lifts it from mod p breaks (it needs sigma(5) = 0 mod p^2, which wants
     # p >= 5 + 3), so mod p is all that survives there and all that the
     # sixth-power expansion consumes.
-    reports.append(
-        _report(
-            "quintuple_sum", params, rank, {}, 2 if p >= 11 else 1, table.sigma(1, 1, 1, 1, 1), 0
-        )
-    )
+    check("quintuple_sum", {}, 2 if p >= 11 else 1, table.sigma(1, 1, 1, 1, 1), 0)
 
     if rho % 2 == 0:
         # V at odd multiples of the rank: V_{k rho}/2 = -Q^(k rho / 2) mod p^2,
@@ -279,52 +262,23 @@ def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceRep
         for mult in (1, 3, 5):
             t = mult * rho
             _, vt = lucas_uv_mod(params, t, p2)
-            reports.append(
-                _report(
-                    "companion_odd_multiple",
-                    params,
-                    rank,
-                    {"k": mult},
-                    2,
-                    vt * inv2 % p2,
-                    -pow(Q, t // 2, p2),
-                )
-            )
+            check("companion_odd_multiple", {"k": mult}, 2, vt * inv2, -pow(Q, t // 2, p2))
             _, v2t = lucas_uv_mod(params, 2 * t, p2)
-            reports.append(
-                _report(
-                    "companion_double", params, rank, {"k": mult}, 2, v2t, 2 * pow(Q, t, p2)
-                )
-            )
+            check("companion_double", {"k": mult}, 2, v2t, 2 * pow(Q, t, p2))
 
     for nu in range(WEIGHTED_MAX + 1):
         if p < nu + 5:
             continue
-        j = 2 if nu % 2 else 1
         lhs = table.weighted[nu]
         error = None
         if lhs != (table.power[nu + 2] - D * table.power[nu]) % M5:
             error = "weighted sum disagrees with sigma(nu+2) - D sigma(nu)"
-        reports.append(_report("weighted_sum", params, rank, {"k": nu}, j, lhs, 0, error))
+        check("weighted_sum", {"k": nu}, 2 if nu % 2 else 1, lhs, 0, error)
 
     u_r, v_r = lucas_uv_mod(params, rho, M5)
     uv = u_r * pow(v_r, -1, M5) % M5
-    p4 = p**4
-    reports.append(
-        _report(
-            "sum_reflection",
-            params,
-            rank,
-            {},
-            4,
-            -2 * table.sigma(1) % p4,
-            uv * table.weighted[0] % p4,
-        )
-    )
-    inv2 = pow(2, -1, M5)
-    half_term = inv2 * (rho - 1) % M5 * D % M5
-    rhs17 = uv * uv % M5 * ((table.sigma(1, 1) + half_term) % M5) % M5
-    reports.append(
-        _report("pair_reduction", params, rank, {}, 5, uv * table.sigma(1) % M5, rhs17)
-    )
+    check("sum_reflection", {}, 4, -2 * table.sigma(1), uv * table.weighted[0])
+    half_term = pow(2, -1, M5) * (rho - 1) % M5 * D % M5
+    rhs17 = uv * uv % M5 * ((table.sigma(1, 1) + half_term) % M5)
+    check("pair_reduction", {}, 5, uv * table.sigma(1), rhs17)
     return reports

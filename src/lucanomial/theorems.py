@@ -4,22 +4,20 @@ Every verifier targets an odd prime p of maximal rank rho = p - epsilon in
 U(P, Q) and returns a CongruenceReport with both sides normalized mod p^j.
 Wire identifiers: "N" (the mod-p^3 congruence for binom((k+1)rho-1, rho-1)),
 "LjWe" (the mod-p^3 block congruence for binom(k rho, l rho)), "P5_1".."P5_4"
-(the four mod-p^5 forms for binom(2 rho - 1, rho - 1)) and "P6" (mod p^6).
+(the four mod-p^5 forms for binom(2 rho - 1, rho - 1), the family "P5") and
+"P6" (mod p^6).  One private registry holds each id's least prime, modulus
+exponent, sweep cases and check; THEOREM_IDS, the verifiers, `sweep` and the
+command line's `--theorem` choices all read it.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .binomial import Cell, generalized_binomial, lucanomial_residue, zero_cancellations
 from .lucas import LucasParams, lucas_term, lucas_uv_mod
-from .ranks import (
-    NonMaximalRankError,
-    RankInfo,
-    is_prime,
-    primes_in_range,
-    rank_of_appearance,
-)
+from .ranks import NonMaximalRankError, RankInfo, maximal_ranks, rank_of_appearance
 from .reports import CongruenceReport
 from .sums import SumsTable, compute_sums
 
@@ -32,19 +30,93 @@ __all__ = [
     "sweep",
 ]
 
-THEOREM_IDS = ("N", "LjWe", "P5_1", "P5_2", "P5_3", "P5_4", "P6")
+
+class _Context:
+    """What the cases of one sweep cell (params, p) share, each part built on
+    first use inside the case that needs it, so a failure lands in that
+    case's report.  The cell and the sums table are built at `exponent`,
+    the largest modulus exponent among the theorems checked at p."""
+
+    def __init__(
+        self, params: LucasParams, rank: RankInfo, ks: Sequence[int], exponent: int
+    ) -> None:
+        self.params, self.rank, self.ks, self.exponent = params, rank, ks, exponent
+
+    @cached_property
+    def cell(self) -> Cell | None:
+        """One residue context for every case, or None where Cell refuses p
+        (p | 2QD: the cases take the exact path) or fails (each case then
+        meets the failure on its own and reports it)."""
+        # N reaches m = (k+1) rho - 1 and its base case 2 rho - 1; LjWe m = k rho.
+        m_max = (max(max(self.ks, default=0), 1) + 1) * self.rank.rho - 1
+        try:
+            return Cell(self.params, self.rank.p, m_max, self.exponent)
+        except Exception:
+            return None
+
+    @cached_property
+    def blocks(self) -> tuple[list[int], list[int]]:
+        return _block_terms(self.params, self.rank.rho, max(self.ks))
+
+    @cached_property
+    def table(self) -> SumsTable:
+        return compute_sums(self.params, self.rank, self.exponent)
 
 
-def _maximal_rank(params: LucasParams, p: int, min_p: int, rank: RankInfo | None) -> RankInfo:
-    if p < min_p:
-        raise ValueError(f"requires a prime p >= {min_p}")
+class _Theorem(NamedTuple):
+    min_p: int
+    exponent: int
+    # The cases a sweep checks, from its k and l ranges.
+    cases: Callable[[Sequence[int], Sequence[int]], list[dict[str, int]]]
+    # One case checked in a cell.  It must look its verifier up by the
+    # module-level name at each call: tracers patch those names.
+    check: Callable[[_Context, dict[str, int]], CongruenceReport]
+
+
+def _fifth_power(variant: int) -> _Theorem:
+    return _Theorem(
+        7, 5, lambda ks, ls: [{}],
+        lambda c, case: verify_fifth_power(c.params, c.rank.p, variant, c.rank, c.table, c.cell),
+    )
+
+
+_THEOREMS: dict[str, _Theorem] = {
+    "N": _Theorem(
+        5, 3, lambda ks, ls: [{"k": k} for k in ks],
+        lambda c, case: verify_wolstenholme(c.params, c.rank.p, case["k"], c.rank, c.cell),
+    ),
+    "LjWe": _Theorem(
+        5, 3, lambda ks, ls: [{"k": k, "l": l} for k in ks for l in ls if l <= k],
+        lambda c, case: verify_ljunggren(
+            c.params, c.rank.p, case["k"], case["l"], c.rank, c.cell, c.blocks
+        ),
+    ),
+    **{f"P5_{variant}": _fifth_power(variant) for variant in (1, 2, 3, 4)},
+    "P6": _Theorem(
+        7, 6, lambda ks, ls: [{}],
+        lambda c, case: verify_sixth_power(c.params, c.rank.p, c.rank, c.table, c.cell),
+    ),
+}
+THEOREM_IDS = tuple(_THEOREMS)
+
+
+def _preconditions(
+    params: LucasParams, p: int, tid: str, rank: RankInfo | None
+) -> tuple[RankInfo, int]:
+    """Theorem `tid`'s modulus exponent and the rank of p, which must be a
+    prime at or above tid's least prime, of maximal rank.  A given rank must
+    be that of p; one of other (P, Q) cannot be caught, since RankInfo
+    carries no params."""
+    theorem = _THEOREMS[tid]
+    if p < theorem.min_p:
+        raise ValueError(f"requires a prime p >= {theorem.min_p}")
     if rank is None:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        rank = rank_of_appearance(params, p)
+        rank = rank_of_appearance(params, p)  # raises for p not prime
+    elif rank.p != p:
+        raise ValueError(f"rank belongs to p = {rank.p}, not {p}")
     if not rank.maximal:
         raise NonMaximalRankError(f"rank of {p} is {rank.rho}, not {p - rank.epsilon}")
-    return rank
+    return rank, theorem.exponent
 
 
 def _sign_mod(exponent: int, modulus: int) -> int:
@@ -57,32 +129,24 @@ def verify_wolstenholme(
 ) -> CongruenceReport:
     """Check binom((k+1)rho - 1, rho - 1)_U = (-1)^(k eps) * Q^(k rho (rho-1)/2) mod p^3.
 
-    Needs p >= 5 of maximal rank, p not dividing Q, k >= 0.  Also requires the
-    left side to equal the k-th power of the k = 1 left side mod p^3, which
-    ties the whole family to its base case.  A `cell` for (params, p) with
-    m_max >= (k+1) rho - 1 answers both left sides.
+    Needs p >= 5 of maximal rank, p not dividing Q, k >= 0; a given `rank`
+    must be that of p.  Also requires the left side to equal the k-th power
+    of the k = 1 left side mod p^3, which ties the whole family to its base
+    case.  A `cell` for (params, p) with m_max >= (k+1) rho - 1 answers both
+    left sides.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rank = _maximal_rank(params, p, 5, rank)
+    rank, j = _preconditions(params, p, "N", rank)
     rho, eps = rank.rho, rank.epsilon
-    modulus = p**3
+    modulus = p**j
     m, n = (k + 1) * rho - 1, rho - 1
-    lhs = lucanomial_residue(params, m, n, p, 3, cell=cell).residue()
-    rhs = _sign_mod(k * eps, modulus) * pow(params.Q, k * rho * (rho - 1) // 2, modulus) % modulus
-    base = lucanomial_residue(params, 2 * rho - 1, rho - 1, p, 3, cell=cell).residue()
+    lhs = lucanomial_residue(params, m, n, p, j, cell=cell).residue()
+    rhs = _sign_mod(k * eps, modulus) * pow(params.Q, k * rho * (rho - 1) // 2, modulus)
+    base = lucanomial_residue(params, 2 * rho - 1, rho - 1, p, j, cell=cell).residue()
     error = None if pow(base, k, modulus) == lhs else "k-th power of the base case disagrees"
-    return CongruenceReport(
-        "N",
-        params,
-        rank,
-        {"k": k},
-        3,
-        lhs,
-        rhs,
-        lhs == rhs and error is None,
-        error,
-        zero_cancellations(params, m, n),
+    return CongruenceReport.of(
+        "N", params, rank, {"k": k}, j, lhs, rhs, error, zero_cancellations(params, m, n)
     )
 
 
@@ -116,39 +180,27 @@ def verify_ljunggren(
 
     with U' the sequence of U-terms at multiples of rho (scaled form
     U_rho * U(V_rho, Q^rho); when U_rho != 0 the unscaled form must agree and
-    both are evaluated).  Needs p >= 5 of maximal rank and k >= l >= 0.  A
-    `cell` for (params, p) with m_max >= k rho answers the left side, and
-    `blocks`, the _block_terms of (params, rho) up to k or beyond, the right.
+    both are evaluated).  Needs p >= 5 of maximal rank and k >= l >= 0; a
+    given `rank` must be that of p.  A `cell` for (params, p) with
+    m_max >= k rho answers the left side, and `blocks`, the _block_terms of
+    (params, rho) up to k or beyond, the right.
     """
     if l < 0 or k < l:
         raise ValueError("need k >= l >= 0")
-    rank = _maximal_rank(params, p, 5, rank)
+    rank, j = _preconditions(params, p, "LjWe", rank)
     rho, eps = rank.rho, rank.epsilon
-    modulus = p**3
+    modulus = p**j
     m, n = k * rho, l * rho
-    lhs = lucanomial_residue(params, m, n, p, 3, cell=cell).residue()
+    lhs = lucanomial_residue(params, m, n, p, j, cell=cell).residue()
     scaled, unscaled = blocks or _block_terms(params, rho, k)
     block = generalized_binomial(scaled, k, l)
     error = None
     if scaled[1] != 0 and generalized_binomial(unscaled, k, l) != block:
         error = "scaled and unscaled block sequences disagree"
-    rhs = (
-        block
-        * _sign_mod(l * (k - l) * eps, modulus)
-        * pow(params.Q, l * (k - l) * rho * (rho - 1) // 2, modulus)
-        % modulus
-    )
-    return CongruenceReport(
-        "LjWe",
-        params,
-        rank,
-        {"k": k, "l": l},
-        3,
-        lhs,
-        rhs,
-        lhs == rhs and error is None,
-        error,
-        zero_cancellations(params, m, n),
+    e = l * (k - l)
+    rhs = block * _sign_mod(e * eps, modulus) * pow(params.Q, e * rho * (rho - 1) // 2, modulus)
+    return CongruenceReport.of(
+        "LjWe", params, rank, {"k": k, "l": l}, j, lhs, rhs, error, zero_cancellations(params, m, n)
     )
 
 
@@ -204,18 +256,19 @@ def verify_fifth_power(
                 + D (U/V)^2 (rho-1)/2].
 
     Here U/V is U_rho/V_rho, s1 and s11 the tabulated sums.  Needs a prime
-    p >= 7 of maximal rank.  A `cell` for (params, p) with m_max >= 2 rho - 1
-    and precision >= 5 answers the left side; a `table` of (params, p) with
-    precision below 5 is rebuilt, and one of other params, p or rho is
-    refused.
+    p >= 7 of maximal rank; a given `rank` must be that of p.  A `cell` for
+    (params, p) with m_max >= 2 rho - 1 and precision >= 5 answers the left
+    side; a `table` of (params, p) with precision below 5 is rebuilt, and one
+    of other params, p or rho is refused.
     """
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
-    rank = _maximal_rank(params, p, 7, rank)
+    tid = f"P5_{variant}"
+    rank, j = _preconditions(params, p, tid, rank)
     rho, eps = rank.rho, rank.epsilon
-    table = _table(params, p, rank, table, 5)
-    modulus = p**5
-    lhs = _central_lhs(params, rank, 5, cell)
+    table = _table(params, p, rank, table, j)
+    modulus = p**j
+    lhs = _central_lhs(params, rank, j, cell)
     _, v_r, uv = _uv_ratio(params, rho, modulus)
     s1 = table.sigma(1) % modulus
     s11 = table.sigma(1, 1) % modulus
@@ -236,19 +289,9 @@ def verify_fifth_power(
         else:
             half_term = params.D * inv2 % modulus * (rho - 1) % modulus
             bracket = 1 + uv * s1 + uv * uv % modulus * ((s11 + half_term) % modulus)
-    rhs = prefactor * (bracket % modulus) % modulus
-    return CongruenceReport(
-        "P5_%d" % variant,
-        params,
-        rank,
-        {"k": variant},
-        5,
-        lhs,
-        rhs,
-        lhs == rhs,
-        None,
-        zero_cancellations(params, 2 * rho - 1, rho - 1),
-    )
+    rhs = prefactor * (bracket % modulus)
+    zeros = zero_cancellations(params, 2 * rho - 1, rho - 1)
+    return CongruenceReport.of(tid, params, rank, {"k": variant}, j, lhs, rhs, None, zeros)
 
 
 def verify_sixth_power(
@@ -262,56 +305,25 @@ def verify_sixth_power(
 
         (-1)^(rho-1) Q^(rho(rho-1)/2) * [1 + 2 (U/V) s1 + (2/3) (U/V)^3 s3].
 
-    Needs a prime p >= 7 of maximal rank (3 is then invertible mod p^6).  A
-    `cell` for (params, p) with m_max >= 2 rho - 1 and precision 6 answers
-    the left side; a `table` of (params, p) with precision below 6 is
-    rebuilt, and one of other params, p or rho is refused.
+    Needs a prime p >= 7 of maximal rank (3 is then invertible mod p^6); a
+    given `rank` must be that of p.  A `cell` for (params, p) with
+    m_max >= 2 rho - 1 and precision 6 answers the left side; a `table` of
+    (params, p) with precision below 6 is rebuilt, and one of other params,
+    p or rho is refused.
     """
-    rank = _maximal_rank(params, p, 7, rank)
+    rank, j = _preconditions(params, p, "P6", rank)
     rho = rank.rho
-    table = _table(params, p, rank, table, 6)
-    modulus = p**6
-    lhs = _central_lhs(params, rank, 6, cell)
+    table = _table(params, p, rank, table, j)
+    modulus = p**j
+    lhs = _central_lhs(params, rank, j, cell)
     _, _, uv = _uv_ratio(params, rho, modulus)
     s1 = table.sigma(1) % modulus
     s3 = table.sigma(3) % modulus
     sign = _parity_sign(rank, modulus)
     bracket = 1 + 2 * uv * s1 + 2 * pow(3, -1, modulus) * pow(uv, 3, modulus) % modulus * s3
-    rhs = sign * pow(params.Q, rho * (rho - 1) // 2, modulus) % modulus * (bracket % modulus) % modulus
-    return CongruenceReport(
-        "P6",
-        params,
-        rank,
-        {},
-        6,
-        lhs,
-        rhs,
-        lhs == rhs,
-        None,
-        zero_cancellations(params, 2 * rho - 1, rho - 1),
-    )
-
-
-def _min_prime(theorem_id: str) -> int:
-    return 5 if theorem_id in ("N", "LjWe") else 7
-
-
-def _cell(
-    params: LucasParams, rank: RankInfo, theorem_set: Sequence[str], ks: Sequence[int]
-) -> Cell | None:
-    """One residue context for every case of a sweep cell, or None where the
-    cases take the exact path, none applies at p, or it cannot be built (each
-    case then meets the failure on its own and reports it)."""
-    p, rho = rank.p, rank.rho
-    if (2 * params.Q * params.D) % p == 0 or all(p < _min_prime(t) for t in theorem_set):
-        return None
-    # N reaches m = (k+1) rho - 1 and its base case 2 rho - 1; LjWe m = k rho.
-    m_max = (max(max(ks, default=0), 1) + 1) * rho - 1
-    precision = 3 if set(theorem_set) <= {"N", "LjWe"} else 6
-    try:
-        return Cell(params, p, m_max, precision)
-    except Exception:
-        return None
+    rhs = sign * pow(params.Q, rho * (rho - 1) // 2, modulus) % modulus * (bracket % modulus)
+    zeros = zero_cancellations(params, 2 * rho - 1, rho - 1)
+    return CongruenceReport.of("P6", params, rank, {}, j, lhs, rhs, None, zeros)
 
 
 def sweep(
@@ -327,58 +339,24 @@ def sweep(
     propagating, so a sweep always returns one report per attempted case.
     """
     for tid in theorem_set:
-        if tid not in THEOREM_IDS:
+        if tid not in _THEOREMS:
             raise ValueError(f"unknown theorem id {tid!r}")
-    p_min, p_max = p_range
     ks = list(k_range) if k_range is not None else list(range(6))
     ls = list(l_range) if l_range is not None else ks
+    selected = [(tid, _THEOREMS[tid]) for tid in theorem_set]
     reports: list[CongruenceReport] = []
     for params in params_grid:
-        for p in primes_in_range(max(p_min, 3), p_max):
-            if params.Q % p == 0:
+        for rank in maximal_ranks(params, *p_range):
+            here = [(tid, theorem) for tid, theorem in selected if rank.p >= theorem.min_p]
+            if not here:
                 continue
-            rank = rank_of_appearance(params, p)
-            if not rank.maximal:
-                continue
-            table = blocks = None
-            cell = _cell(params, rank, theorem_set, ks)
-            for tid in theorem_set:
-                if p < _min_prime(tid):
-                    continue
-                cases: list[dict[str, int]]
-                if tid == "N":
-                    cases = [{"k": k} for k in ks]
-                elif tid == "LjWe":
-                    cases = [{"k": k, "l": l} for k in ks for l in ls if l <= k]
-                else:
-                    cases = [{}]
-                for case in cases:
+            context = _Context(params, rank, ks, max(theorem.exponent for _, theorem in here))
+            for tid, theorem in here:
+                for case in theorem.cases(ks, ls):
                     try:
-                        if tid == "N":
-                            reports.append(verify_wolstenholme(params, p, case["k"], rank, cell))
-                        elif tid == "LjWe":
-                            if blocks is None:
-                                blocks = _block_terms(params, rank.rho, max(ks))
-                            reports.append(
-                                verify_ljunggren(
-                                    params, p, case["k"], case["l"], rank, cell, blocks
-                                )
-                            )
-                        elif tid == "P6":
-                            if table is None or table.k < 6:
-                                table = compute_sums(params, rank, 6)
-                            reports.append(verify_sixth_power(params, p, rank, table, cell))
-                        else:
-                            if table is None:
-                                need = 6 if "P6" in theorem_set else 5
-                                table = compute_sums(params, rank, need)
-                            reports.append(
-                                verify_fifth_power(params, p, int(tid[3:]), rank, table, cell)
-                            )
+                        reports.append(theorem.check(context, case))
                     except Exception as exc:  # recorded, not raised: sweeps must finish
                         reports.append(
-                            CongruenceReport(
-                                tid, params, rank, case, 0, 0, 0, False, repr(exc)
-                            )
+                            CongruenceReport.of(tid, params, rank, case, 0, 0, 0, repr(exc))
                         )
     return reports

@@ -440,6 +440,48 @@ def test_import_starts_no_pool_machinery():
     assert result.stdout.strip() == "False"
 
 
+def test_closed_stdout_exits_two():
+    # The json report (about 680 KB) overflows the 64 KiB pipe buffer, so the
+    # writer meets the closed pipe mid-report.
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = "verify --grid 2,2 --pmax 40 --format json --jobs 1".split()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lucanomial.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{\n  "recor'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.splitlines() == ["lucanomial: error: cannot write to stdout: Broken pipe"]
+
+
+def test_theorem_tokens_select_registry_ids(tmp_path):
+    def theorem_ids(*tokens):
+        out = tmp_path / "report.csv"
+        argv = "verify --grid 2,2 --pmin 7 --pmax 20 --kmax 1 --format csv --jobs 1".split()
+        for token in tokens:
+            argv += ["--theorem", token]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        cells: dict = {}
+        for row in rows:
+            cells.setdefault((row["P"], row["Q"], row["p"]), []).append(row["theorem_id"])
+        return out.read_bytes(), cells
+
+    _, cells = theorem_ids("P5", "N", "P5_2")
+    assert cells
+    for ids in cells.values():
+        # Every cell has p >= 7, so all four P5 forms apply; then N, once per k.
+        assert ids == ["P5_1", "P5_2", "P5_3", "P5_4", "N", "N"]
+    assert theorem_ids("all")[0] == theorem_ids()[0]
+
+
 def test_cross_check_records(tmp_path):
     out = tmp_path / "report.json"
     code = main(

@@ -191,6 +191,18 @@ def test_verifiers_refuse_a_sums_table_of_another_cell():
     assert verify_sixth_power(FIB, 11, rank, table).holds
 
 
+def test_verifiers_refuse_a_rank_of_another_prime():
+    other = rank_of_appearance(FIB, 19)
+    for verify in (
+        lambda: verify_wolstenholme(FIB, 11, 1, rank=other),
+        lambda: verify_ljunggren(FIB, 11, 2, 1, rank=other),
+        lambda: verify_fifth_power(FIB, 11, 2, rank=other),
+        lambda: verify_sixth_power(FIB, 11, rank=other),
+    ):
+        with pytest.raises(ValueError, match="belongs to p = 19"):
+            verify()
+
+
 def test_lhs_path_independence():
     # Every verified left side must reproduce through the exact-strip path.
     cases = [(FIB, 7), (FIB, 11), (LucasParams(3, 5), 7), (LucasParams(2, 3), 7)]
@@ -251,6 +263,25 @@ def test_sweep_rejects_unknown_theorem():
 def test_sweep_skips_p_dividing_q():
     reports = sweep([LucasParams(1, -5)], (5, 5), ("N",), [1])
     assert reports == []
+
+
+def test_sweep_applies_each_theorem_at_its_least_prime_and_modulus():
+    grid = [FIB, NAT, LucasParams(3, 5), LucasParams(2, 2)]
+    at_five = sweep(grid, (5, 5), THEOREM_IDS, range(0, 3))
+    assert at_five and {r.theorem_id for r in at_five} == {"N", "LjWe"}
+    exponents = {r.theorem_id: r.modulus_exponent for r in sweep(grid, (5, 20), THEOREM_IDS)}
+    assert exponents == {
+        "N": 3, "LjWe": 3, "P5_1": 5, "P5_2": 5, "P5_3": 5, "P5_4": 5, "P6": 6
+    }
+
+
+def test_fifth_power_sweep_matches_the_full_sweep():
+    # A P5-only sweep builds its cell and sums table at p^5, the full sweep at p^6.
+    grid = [FIB, NAT, LucasParams(3, 5), LucasParams(2, 2), LucasParams(-1, 3)]
+    fifth = ("P5_1", "P5_2", "P5_3", "P5_4")
+    alone = sweep(grid, (5, 60), fifth, range(0, 3))
+    full = sweep(grid, (5, 60), THEOREM_IDS, range(0, 3))
+    assert alone and alone == [r for r in full if r.theorem_id in fifth]
 
 
 def test_sweep_cell_matches_per_call_verifiers():

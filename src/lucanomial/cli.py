@@ -8,10 +8,12 @@ or per-case error was recorded, 2 on usage errors and IO failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import itertools
 import json
+import marshal
 import os
 import random
 import shutil
@@ -80,22 +82,127 @@ def _lemma_cell(task) -> tuple[str, int, int] | None:
 
 
 def _map_cells(worker, tasks, jobs) -> Iterator:
-    """Each task's rendered cell, in task order, as the cells finish."""
-    if jobs <= 1 or len(tasks) <= 1:
+    """Each task's rendered cell, in task order.
+
+    With more than one job and cell, forked workers check the cells.  The
+    tasks go out in chunks: every chunk id waits in one pipe, and a worker
+    claims the next id whenever it is free, so one that finishes early takes
+    more work.  Each worker writes its chunks, as the id then the marshalled
+    cells, to its own unnamed temporary file (its spool).  Once every worker
+    has exited cleanly, the spools are read back chunk by chunk in id order,
+    so no more than one chunk is held here.  A worker whose cell raised makes
+    this raise; a spool that failed exits 2.  Where os.fork is missing the
+    cells are checked in this process.
+    """
+    if jobs <= 1 or len(tasks) <= 1 or not hasattr(os, "fork"):
         yield from map(worker, tasks)
         return
-    # Imported only when a pool starts: it is about a quarter of the time
-    # `import lucanomial.cli` takes, which every run pays.
-    from concurrent.futures import ProcessPoolExecutor
-
-    # The fork start method starts every worker at the first submit, so ask
-    # for no more workers than there are cells.
     workers = min(jobs, len(tasks))
-    # A rendered cell is a short string, so finer chunks cost little to ship
+    # A rendered cell is a short string, so finer chunks cost little to spool
     # and even out the finish: the slowest chunk no longer sets the tail.
-    chunk = max(1, len(tasks) // (workers * 16))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(worker, tasks, chunksize=chunk)
+    size = max(1, len(tasks) // (workers * 16))
+    chunks = range(-(-len(tasks) // size))
+    pids: list[int] = []
+    with contextlib.ExitStack() as stack:
+        # Registered first, so it runs last: on any way out, no worker is
+        # left running or unreaped.
+        stack.callback(_reap, pids)
+        claims, offers = _pipe(stack)
+        reasons, tell = _pipe(stack)
+        try:
+            spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(workers)]
+        except OSError as exc:
+            _spool_failed(exc.strerror or exc)
+        # What is still buffered would otherwise be written by every child too.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for spool in spools:
+            pid = os.fork()
+            if pid == 0:
+                _work(worker, tasks, size, claims, offers, tell, spool)
+            pids.append(pid)
+        # Once the workers alone hold the read end, a write fails rather
+        # than blocks should they all be gone.
+        claims.close()
+        tell.close()
+        try:
+            for chunk in chunks:
+                # 4 bytes is below PIPE_BUF: each write, and so each 4-byte
+                # read, moves one whole id.
+                offers.write(chunk.to_bytes(4, "little"))
+        except BrokenPipeError:
+            pass  # every worker is gone; their exit statuses say why
+        offers.close()
+        while pids:
+            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+            del pids[0]
+            if code == 2:
+                # Each worker whose spool failed sent one line; report the first.
+                _spool_failed(reasons.read(4096).decode().partition("\n")[0])
+            if code:
+                raise RuntimeError(f"a sweep worker exited with status {code}")
+        try:
+            for spool in spools:
+                spool.seek(0)
+            ahead = [spool.read(4) for spool in spools]
+            for chunk in chunks:
+                # Each spool's ids ascend, so the next chunk's id is one spool's next.
+                i = ahead.index(chunk.to_bytes(4, "little"))
+                cells = marshal.load(spools[i])
+                ahead[i] = spools[i].read(4)
+                yield from cells
+        except OSError as exc:
+            _spool_failed(exc.strerror or exc)
+
+
+def _pipe(stack: contextlib.ExitStack) -> tuple:
+    """A new pipe's read and write ends, as unbuffered files `stack` closes."""
+    read_fd, write_fd = os.pipe()
+    reader = stack.enter_context(open(read_fd, "rb", 0))
+    return reader, stack.enter_context(open(write_fd, "wb", 0))
+
+
+def _reap(pids: list[int]) -> None:
+    """Kill and reap the workers still in `pids`: a sweep cut short leaves some."""
+    if not pids:
+        return
+    import signal  # only a sweep cut short needs it
+
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _work(worker, tasks, size, claims, offers, tell, spool) -> NoReturn:
+    """A forked worker: claim chunk ids from `claims` until it is empty, and
+    spool each chunk as its id then its marshalled cells.  It leaves only
+    through os._exit, so it flushes nothing it inherited.  It exits 0 when
+    done; 2 when its spool failed, after sending the reason to `tell`; and 1,
+    with the traceback on stderr, when a cell raised."""
+    code = 0
+    try:
+        offers.close()  # else the workers never see the end of the claims
+        while claim := claims.read(4):
+            start = int.from_bytes(claim, "little") * size
+            cells = [worker(task) for task in tasks[start : start + size]]
+            try:
+                spool.write(claim)
+                marshal.dump(cells, spool)
+                spool.flush()
+            except OSError as exc:
+                tell.write(f"{exc.strerror or exc}\n".encode())
+                code = 2
+                break
+    except BaseException:
+        code = 1
+        import traceback  # only a failed cell needs it
+
+        traceback.print_exc()
+    finally:
+        try:
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 def _cross_check_reports(params_list, p_min, p_max, count, seed) -> Iterator[CongruenceReport]:
@@ -121,9 +228,19 @@ def _cross_check_reports(params_list, p_min, p_max, count, seed) -> Iterator[Con
         )
 
 
+_PROG = "lucanomial"
+
+
 def _fail(parser, message: str) -> NoReturn:
     """Exit 2 with a one-line message: a usage or IO failure, not a counterexample."""
     parser.exit(2, f"{parser.prog}: error: {message}\n")
+
+
+def _spool_failed(reason) -> NoReturn:
+    """Exit 2 as _fail does, for a spool that could not be made, written or
+    read (a full TMPDIR, say), where no parser is at hand."""
+    sys.stderr.write(f"{_PROG}: error: cannot spool the report: {reason}\n")
+    sys.exit(2)
 
 
 _CHUNK = 64 * 1024
@@ -218,7 +335,7 @@ def _emit_records(batches, fmt, out_path, parser) -> tuple[int, int]:
         try:
             return op(*args, **kwargs)
         except OSError as exc:
-            _fail(parser, f"cannot spool the report: {exc.strerror or exc}")
+            _spool_failed(exc.strerror or exc)
 
     # newline="" keeps the csv module's "\r\n" row ends as they are.
     with spooled(tempfile.TemporaryFile, "w+", encoding="utf-8", newline="") as spool:
@@ -381,7 +498,7 @@ def _usable_cpus() -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="lucanomial",
+        prog=_PROG,
         description="Verify Wolstenholme-type congruences for Lucanomial coefficients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -63,17 +65,22 @@ def is_prime(n: int) -> bool:
 
 
 def primes_in_range(lo: int, hi: int) -> list[int]:
-    """Primes p with lo <= p <= hi, ascending."""
-    if hi < 2 or hi < lo:
+    """Primes p with lo <= p <= hi, ascending.
+
+    A segmented sieve: only [lo, hi] is sieved, by the primes up to isqrt(hi)
+    (found the same way), so the range [p, p] costs one entry plus the base
+    primes, not a sieve of [0, p].
+    """
+    lo = max(lo, 2)
+    if hi < lo:
         return []
-    if hi <= 2_000_000:
-        sieve = bytearray([1]) * (hi + 1)
-        sieve[0:2] = b"\x00\x00"
-        for p in range(2, int(hi**0.5) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        return [p for p in range(max(lo, 2), hi + 1) if sieve[p]]
-    return [n for n in range(max(lo, 2), hi + 1) if is_prime(n)]
+    sieve = bytearray([1]) * (hi - lo + 1)
+    for q in primes_in_range(2, math.isqrt(hi)):
+        # A composite n in [lo, hi] has a prime factor q <= isqrt(n), and
+        # n >= q^2; a prime n is never a multiple of q that large.
+        start = max(q * q, -(-lo // q) * q)
+        sieve[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+    return list(itertools.compress(range(lo, hi + 1), sieve))
 
 
 def legendre(a: int, p: int) -> int:

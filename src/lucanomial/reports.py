@@ -78,10 +78,6 @@ class CongruenceReport:
     def modulus(self) -> int:
         return self.p**self.modulus_exponent
 
-    def signed(self, x: int) -> int:
-        """Centered representative of x mod p^j, for display."""
-        return x if 2 * x <= self.modulus else x - self.modulus
-
     def to_record(self) -> dict:
         """Flat record in the interchange schema (RECORD_FIELDS order)."""
         return {

@@ -75,7 +75,7 @@ class _Theorem(NamedTuple):
 
 def _fifth_power(variant: int) -> _Theorem:
     return _Theorem(
-        7, 5, lambda ks, ls: [{}],
+        7, 5, lambda ks, ls: [{"k": variant}],
         lambda c, case: verify_fifth_power(c.params, c.rank.p, variant, c.rank, c.table, c.cell),
     )
 

@@ -1,6 +1,5 @@
 """CLI behavior: subcommands, report formats, exit codes, determinism."""
 
-import concurrent.futures
 import contextlib
 import csv
 import errno
@@ -381,34 +380,76 @@ def test_spool_that_fails_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_pool_starts_no_more_workers_than_cells(monkeypatch, capsys):
-    pools = []
+    forks = []
+    fork = os.fork
 
-    class SerialPool:
-        """Records the pool size it is asked for and maps in this process."""
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
 
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     for argv, workers in (
         ("verify --P 1 --Q -1 --pmax 7 --format json", 2),  # 2 cells: p = 5, 7
         ("verify --grid 1,1 --pmax 7 --format json", 4),  # 12 cells
     ):
         assert main(argv.split() + ["--jobs", "4"]) == 0
         pooled = capsys.readouterr()
-        assert pools.pop() == workers, argv
+        assert len(forks) == workers, argv
+        forks.clear()
         assert main(argv.split() + ["--jobs", "1"]) == 0
         assert capsys.readouterr() == pooled, argv
-    assert pools == []
+    assert forks == []
+
+
+def test_parallel_output_matches_serial_on_uneven_chunks(tmp_path):
+    # 12 cells over 3 workers, chunks of one cell; then 160 cells in 54
+    # chunks of 3, the last chunk holding one cell.
+    for args in ("verify --grid 1,1 --pmax 7", "verify --grid 2,2 --theorem N --kmax 1 --pmax 29"):
+        for fmt in ORACLES:
+            argv = args.split() + ["--format", fmt]
+            serial = tmp_path / "serial.out"
+            parallel = tmp_path / "parallel.out"
+            assert main(argv + ["--jobs", "1", "--out", str(serial)]) == 0
+            assert main(argv + ["--jobs", "3", "--out", str(parallel)]) == 0
+            assert serial.read_bytes() == parallel.read_bytes(), argv
+
+
+def test_worker_whose_cell_raises_fails_the_sweep(tmp_path, monkeypatch, capfd):
+    def sweep_that_raises_at_eleven(params_grid, p_range, *args):
+        if p_range == (11, 11):
+            raise ArithmeticError("cell failed")
+        return sweep(params_grid, p_range, *args)
+
+    monkeypatch.setattr(cli, "sweep", sweep_that_raises_at_eleven)
+    out = tmp_path / "report.json"
+    argv = "verify --P 1 --Q -1 --theorem N --pmax 40 --kmax 1 --format json --jobs 2"
+    with pytest.raises(RuntimeError, match="sweep worker exited with status 1"):
+        main(argv.split() + ["--out", str(out)])
+    assert not out.exists()
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert "ArithmeticError: cell failed" in captured.err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_spool_that_fails_exits_two(tmp_path, monkeypatch, capfd):
+    # Every worker's spool fails; the sweep exits 2 with one line.
+    def full_disk(cells, spool):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli.marshal, "dump", full_disk)
+    out = tmp_path / "report.json"
+    argv = "verify --grid 1,1 --theorem N --pmax 40 --kmax 1 --format json --jobs 2"
+    with pytest.raises(SystemExit) as err:
+        main(argv.split() + ["--out", str(out)])
+    assert err.value.code == 2
+    assert not out.exists()
+    assert capfd.readouterr() == (
+        "", "lucanomial: error: cannot spool the report: No space left on device\n"
+    )
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_counterexample_exits_one(tmp_path, capsys, monkeypatch):
@@ -428,6 +469,24 @@ def test_counterexample_exits_one(tmp_path, capsys, monkeypatch):
     failed = [r for r in records if not r["holds"]]
     assert [(r["p"], r["k"]) for r in failed] == [(11, 1)]
     assert failed[0]["lhs"] != failed[0]["rhs"]
+
+
+def test_parallel_sweep_imports_no_pool_machinery(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    out = tmp_path / "report.json"
+    argv = f"verify --grid 1,1 --pmax 13 --format json --jobs 2 --out {out}"
+    code = (
+        "import sys\n"
+        "from lucanomial.cli import main\n"
+        f"assert main({argv.split()!r}) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+    assert len(json.loads(out.read_text())["records"]) > 0
 
 
 def test_import_starts_no_pool_machinery():

@@ -320,3 +320,18 @@ def test_sweep_reports_each_case_when_the_cell_fails(monkeypatch):
     failed = [r for r in reports if not r.holds]
     assert failed and all("no ladder" in r.error for r in failed)
     assert all(r.theorem_id == "LjWe" and r.inputs["l"] == 0 for r in reports if r.holds)
+
+
+def test_fifth_power_error_record_names_its_variant(monkeypatch):
+    import lucanomial.theorems
+
+    expected = sweep([FIB], (11, 11), ("P5_2",))
+    assert [(r.inputs, r.holds) for r in expected] == [({"k": 2}, True)]
+
+    def broken_sums(*args):
+        raise ArithmeticError("no sums")
+
+    monkeypatch.setattr(lucanomial.theorems, "compute_sums", broken_sums)
+    [failed] = sweep([FIB], (11, 11), ("P5_2",))
+    assert failed.to_record()["k"] == 2
+    assert not failed.holds and "no sums" in failed.error

@@ -10,8 +10,7 @@ sequences.  The value is always a rational integer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lucas import LucasParams, uv_sequence
 from .ranks import NoRankError, is_prime, rank_ladder
@@ -38,8 +37,7 @@ class ConventionViolation(ArithmeticError):
     """More zero factors below than above the bar; excluded for Lucas sequences."""
 
 
-@dataclass(frozen=True)
-class LucanomialValue:
+class LucanomialValue(NamedTuple):
     """Exact generalized binomial coefficient binom(m, n) over U."""
 
     m: int
@@ -47,31 +45,41 @@ class LucanomialValue:
     value: int
 
 
-@dataclass(frozen=True)
-class ValuedResidue:
-    """A nonzero p-adic approximation unit * p^valuation, unit known mod p^k.
-
-    The exact zero produced by the cancellation convention is distinguished
-    from any nonzero value of high valuation.
-    """
-
+class _ResidueFields(NamedTuple):
     p: int
     k: int
     valuation: int
     unit: int
     zero: bool = False
 
-    def __post_init__(self) -> None:
-        if self.zero:
-            if self.unit or self.valuation:
+
+class ValuedResidue(_ResidueFields):
+    """A nonzero p-adic approximation unit * p^valuation, unit known mod p^k.
+
+    The exact zero produced by the cancellation convention is distinguished
+    from any nonzero value of high valuation.  The fields are checked however
+    a ValuedResidue is made, _make and _replace included.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, p: int, k: int, valuation: int, unit: int, zero: bool = False
+    ) -> ValuedResidue:
+        if zero:
+            if unit or valuation:
                 raise ValueError("exact zero carries unit 0 and valuation 0")
-            return
-        if self.valuation < 0:
+        elif valuation < 0:
             raise ValueError("valuation must be nonnegative")
-        if not 0 <= self.unit < self.modulus:
+        elif not 0 <= unit < p**k:
             raise ValueError("unit out of range")
-        if self.unit % self.p == 0:
+        elif unit % p == 0:
             raise ValueError("unit must be coprime to p")
+        return tuple.__new__(cls, (p, k, valuation, unit, zero))
+
+    @classmethod
+    def _make(cls, fields: Iterable) -> ValuedResidue:
+        return cls(*fields)
 
     @classmethod
     def exact_zero(cls, p: int, k: int) -> "ValuedResidue":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "LucasParams",
@@ -16,47 +16,68 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LucasParams:
+class _LucasFields(NamedTuple):
+    P: int
+    Q: int
+    D: int
+    zero_period: int | None
+    degenerate: bool
+
+
+class LucasParams(_LucasFields):
     """Recurrence parameters (P, Q) for the pair U, V with x_{n+2} = P x_{n+1} - Q x_n.
 
     U starts (0, 1) and V starts (2, P).  Q must be nonzero; negative P and Q
     are fully supported.  D is the discriminant P^2 - 4Q.  The sequence is
     degenerate exactly when U_2 * U_3 * U_4 * U_6 = 0, in which case U has
-    periodically recurring zero terms.
+    periodically recurring zero terms.  D, zero_period and degenerate are
+    derived from (P, Q) however a LucasParams is made, _make and _replace
+    included.
     """
 
-    P: int
-    Q: int
-    D: int = field(init=False, compare=False)
-    zero_period: int | None = field(init=False, compare=False)
-    degenerate: bool = field(init=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.Q == 0:
+    def __new__(cls, P: int, Q: int) -> LucasParams:
+        if Q == 0:
             raise ValueError("Q must be nonzero")
-        object.__setattr__(self, "D", self.P * self.P - 4 * self.Q)
-        object.__setattr__(self, "zero_period", self._zero_period())
-        object.__setattr__(self, "degenerate", self.zero_period is not None)
+        zero_period = _zero_period(P, Q)
+        return tuple.__new__(cls, (P, Q, P * P - 4 * Q, zero_period, zero_period is not None))
 
-    def _zero_period(self) -> int | None:
-        """Least n >= 1 with U_n = 0, or None when all positive-index terms are nonzero.
+    def __getnewargs__(self) -> tuple[int, int]:
+        return self.P, self.Q
 
-        Zero terms occur only when the root ratio of x^2 - Px + Q is a root of
-        unity; they then sit exactly at the multiples of this period, which is
-        always one of 2, 3, 4, 6.
-        """
-        u = [0, 1]
-        for _ in range(5):
-            u.append(self.P * u[-1] - self.Q * u[-2])
-        for n in (2, 3, 4, 6):
-            if u[n] == 0:
-                return n
-        return None
+    @classmethod
+    def _make(cls, fields: Iterable) -> LucasParams:
+        P, Q, *derived = fields
+        made = cls(P, Q)
+        if derived and tuple(derived) != made[2:]:
+            raise ValueError("D, zero_period and degenerate follow from P and Q")
+        return made
+
+    def _replace(self, **changes: int) -> LucasParams:
+        P, Q = changes.pop("P", self.P), changes.pop("Q", self.Q)
+        if changes:
+            raise ValueError(f"only P and Q can be replaced, not {sorted(changes)}")
+        return type(self)(P, Q)
 
 
-@dataclass(frozen=True)
-class LucasTerm:
+def _zero_period(P: int, Q: int) -> int | None:
+    """Least n >= 1 with U_n = 0, or None when all positive-index terms are nonzero.
+
+    Zero terms occur only when the root ratio of x^2 - Px + Q is a root of
+    unity; they then sit exactly at the multiples of this period, which is
+    always one of 2, 3, 4, 6.
+    """
+    u = [0, 1]
+    for _ in range(5):
+        u.append(P * u[-1] - Q * u[-2])
+    for n in (2, 3, 4, 6):
+        if u[n] == 0:
+            return n
+    return None
+
+
+class LucasTerm(NamedTuple):
     """Exact value pair (U_n, V_n)."""
 
     n: int

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .lucas import LucasParams, lucas_uv_mod
 
@@ -91,8 +90,7 @@ def legendre(a: int, p: int) -> int:
     return -1 if r == p - 1 else r
 
 
-@dataclass(frozen=True)
-class RankInfo:
+class RankInfo(NamedTuple):
     """Rank of appearance of an odd prime p in U, with prime-power ranks.
 
     rho is the least t > 0 with p | U_t; epsilon the Legendre symbol (D | p);
@@ -104,7 +102,7 @@ class RankInfo:
     rho: int
     epsilon: int
     maximal: bool
-    rho_prime_power: dict[int, int] = field(default_factory=dict)
+    rho_prime_power: dict[int, int]
 
 
 def _prime_power_rank(params: LucasParams, p: int, a: int, rho_prev: int) -> int:

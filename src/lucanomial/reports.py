@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lucas import LucasParams
 from .ranks import RankInfo
@@ -28,8 +28,7 @@ RECORD_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """One verified congruence instance.
 
     lhs and rhs are normalized residues in [0, p^modulus_exponent); holds is
@@ -42,7 +41,7 @@ class CongruenceReport:
     theorem_id: str
     params: LucasParams
     rank: RankInfo
-    inputs: dict[str, int] = field(default_factory=dict)
+    inputs: dict[str, int]
     modulus_exponent: int = 0
     lhs: int = 0
     rhs: int = 0

@@ -13,9 +13,8 @@ all at once, with one modular inverse per (P, Q, p) cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lucas import LucasParams, lucas_uv_mod
 from .ranks import NonMaximalRankError, RankInfo
@@ -49,8 +48,7 @@ MONOMIAL_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class SumsTable:
+class SumsTable(NamedTuple):
     """Residues mod p^k of the tabulated sums for one (params, p)."""
 
     params: LucasParams

@@ -10,7 +10,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -456,7 +455,7 @@ def test_counterexample_exits_one(tmp_path, capsys, monkeypatch):
     def sweep_with_one_failure(*args):
         reports = sweep(*args)
         if reports and reports[0].p == 11:
-            reports[1] = replace(reports[1], lhs=reports[1].lhs + 1, holds=False)
+            reports[1] = reports[1]._replace(lhs=reports[1].lhs + 1, holds=False)
         return reports
 
     monkeypatch.setattr(cli, "sweep", sweep_with_one_failure)
@@ -497,6 +496,19 @@ def test_import_starts_no_pool_machinery():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys, lucanomial.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_closed_stdout_exits_two():

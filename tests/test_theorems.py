@@ -1,6 +1,5 @@
 """Theorem verifiers: frozen examples, classical reductions, sweeps."""
 
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -19,6 +18,9 @@ from lucanomial import (
     verify_sixth_power,
     verify_wolstenholme,
 )
+from lucanomial.lucas import uv_sequence
+from lucanomial.ranks import maximal_ranks
+from lucanomial.theorems import _block_terms
 
 FIB = LucasParams(1, -1)
 NAT = LucasParams(2, 1)  # U_n = n, ordinary binomials
@@ -102,6 +104,20 @@ def test_ljunggren_ordinary_blocks():
                 assert r.rhs == comb(k, l) % p**3
 
 
+def test_block_terms_are_u_at_multiples_of_rho():
+    # U_{t rho} = U_rho * U_t(V_rho, Q^rho), compared with U itself, exactly;
+    # at a degenerate pair with U_rho = 0 both sides are all zeros.
+    for P in range(-5, 6):
+        for Q in range(-5, 6):
+            if Q == 0:
+                continue
+            params = LucasParams(P, Q)
+            for rank in maximal_ranks(params, 5, 50):
+                rho = rank.rho
+                us, _ = uv_sequence(params, 6 * rho)
+                assert _block_terms(params, rho, 6) == [us[t * rho] for t in range(7)]
+
+
 def test_ljunggren_boundaries():
     for params, p in ((FIB, 7), (NAT, 11), (LucasParams(3, 5), 7)):
         for k in range(0, 4):
@@ -180,8 +196,8 @@ def test_verifiers_refuse_a_sums_table_of_another_cell():
     for other in (
         compute_sums(NAT, rank_of_appearance(NAT, 11), 6),  # other params
         compute_sums(FIB, rank_of_appearance(FIB, 19), 6),  # other p and rank
-        replace(table, p=13),  # other p
-        replace(table, rho=rank.rho + 1),  # other rank
+        table._replace(p=13),  # other p
+        table._replace(rho=rank.rho + 1),  # other rank
     ):
         for variant in (1, 2, 3, 4):
             with pytest.raises(ValueError, match="another"):

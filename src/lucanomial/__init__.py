@@ -27,7 +27,6 @@ from .ranks import (
     NoRankError,
     RankInfo,
     euler_criterion_check,
-    find_maximal_rank_primes,
     is_prime,
     legendre,
     primes_in_range,
@@ -65,7 +64,6 @@ __all__ = [
     "check_identities_upto",
     "compute_sums",
     "euler_criterion_check",
-    "find_maximal_rank_primes",
     "generalized_binomial",
     "integrality_sweep",
     "is_prime",

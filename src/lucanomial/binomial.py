@@ -10,9 +10,10 @@ sequences.  The value is always a rational integer.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
-from .lucas import LucasParams, uv_sequence
+from .lucas import LucasParams, u_walk, uv_sequence
 from .ranks import NoRankError, is_prime, rank_ladder
 
 __all__ = [
@@ -106,30 +107,9 @@ class ValuedResidue(_ResidueFields):
             return 0
         return self.unit * self.p**self.valuation % self.modulus
 
-    def _check_compatible(self, other: "ValuedResidue") -> None:
-        if self.p != other.p or self.k != other.k:
-            raise ValueError("operands must share p and precision k")
-
-    def __mul__(self, other: "ValuedResidue") -> "ValuedResidue":
-        self._check_compatible(other)
-        if self.zero or other.zero:
-            return ValuedResidue.exact_zero(self.p, self.k)
-        return ValuedResidue(
-            self.p, self.k, self.valuation + other.valuation, self.unit * other.unit % self.modulus
-        )
-
-    def __truediv__(self, other: "ValuedResidue") -> "ValuedResidue":
-        self._check_compatible(other)
-        if other.zero:
-            raise ZeroDivisionError("division by the exact zero")
-        if self.zero:
-            return ValuedResidue.exact_zero(self.p, self.k)
-        v = self.valuation - other.valuation
-        if v < 0:
-            raise ValueError("quotient would have negative valuation")
-        return ValuedResidue(
-            self.p, self.k, v, self.unit * pow(other.unit, -1, self.modulus) % self.modulus
-        )
+    # A residue is a value, not a tuple: tuple concatenation and repetition
+    # would return plain tuples that look like arithmetic.
+    __add__ = __mul__ = __rmul__ = None
 
 
 def _convention_quotient(num: Sequence[int], den: Sequence[int]) -> int:
@@ -219,24 +199,26 @@ class Cell:
         zp = params.zero_period
         # Each rung is a multiple of the one before, so counting the rungs
         # that divide t gives v_p(U_t) for every nonzero term within range.
+        ladder = rank_ladder(params, p, m_max)
         vals = [0] * (m_max + 1)
-        for r in rank_ladder(params, p, m_max):
+        for r in ladder:
             for t in range(r, m_max + 1, r):
                 vals[t] += 1
-        nonzero = [zp is None or t % zp != 0 for t in range(m_max + 1)]
         # Stripping p^v from a term costs v digits: leave room for the largest.
-        v_max = max((v for v, nz in zip(vals[1:], nonzero[1:]) if nz), default=0)
+        # The rungs form a divisor chain, so v_p(U_t) peaks at the last rung in
+        # range that is a nonzero term, where it counts the rungs up to it; and
+        # a rung on a zero term can only be the ladder's last.
+        v_max = sum(r <= m_max and (zp is None or r % zp != 0) for r in ladder)
         modulus, pk = p ** (k + v_max), p**k
-        P, Q = params.P % modulus, params.Q % modulus
         prefix, vsum = [1] * (m_max + 1), [0] * (m_max + 1)
-        u_prev, u = 0, 1 % modulus
-        for t in range(1, m_max + 1):
-            if nonzero[t]:
+        terms = islice(u_walk(params.P, params.Q, modulus), 1, m_max + 1)
+        for t, u in enumerate(terms, 1):
+            if zp is not None and t % zp == 0:
+                # Zero terms cancel in pairs and carry nothing.
+                prefix[t], vsum[t] = prefix[t - 1], vsum[t - 1]
+            else:
                 prefix[t] = prefix[t - 1] * (u // p ** vals[t] % pk) % pk
                 vsum[t] = vsum[t - 1] + vals[t]
-            else:  # zero terms cancel in pairs and carry nothing
-                prefix[t], vsum[t] = prefix[t - 1], vsum[t - 1]
-            u_prev, u = u, (P * u - Q * u_prev) % modulus
         self._prefix, self._vsum = prefix, vsum
 
     def residue(self, m: int, n: int, j: int) -> ValuedResidue:
@@ -320,10 +302,11 @@ def lucanomial_residue(
 
 def integrality_sweep(params: LucasParams, m_max: int) -> bool:
     """True iff binom(m, n)_U is a well-defined integer for all 0 <= n <= m <= m_max."""
+    us = list(islice(u_walk(params.P, params.Q), m_max + 1))
     for m in range(m_max + 1):
         for n in range(m + 1):
             try:
-                lucanomial_exact(params, m, n)
+                generalized_binomial(us, m, n)
             except (NonIntegralError, ConventionViolation):
                 return False
     return True

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from itertools import islice
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "LucasParams",
     "LucasTerm",
+    "u_walk",
     "lucas_term",
     "lucas_range",
     "lucas_uv_mod",
@@ -68,13 +70,26 @@ def _zero_period(P: int, Q: int) -> int | None:
     unity; they then sit exactly at the multiples of this period, which is
     always one of 2, 3, 4, 6.
     """
-    u = [0, 1]
-    for _ in range(5):
-        u.append(P * u[-1] - Q * u[-2])
+    u = list(islice(u_walk(P, Q), 7))
     for n in (2, 3, 4, 6):
         if u[n] == 0:
             return n
     return None
+
+
+def u_walk(P: int, Q: int, modulus: int | None = None) -> Iterator[int]:
+    """U_0, U_1, U_2, ... of U(P, Q) by the three-term recurrence, each term
+    reduced mod `modulus` when one is given; the only walk of U in the package."""
+    if modulus is None:
+        u_prev, u = 0, 1
+        while True:
+            yield u_prev
+            u_prev, u = u, P * u - Q * u_prev
+    P, Q = P % modulus, Q % modulus
+    u_prev, u = 0, 1 % modulus
+    while True:
+        yield u_prev
+        u_prev, u = u, (P * u - Q * u_prev) % modulus
 
 
 class LucasTerm(NamedTuple):
@@ -108,15 +123,8 @@ def lucas_term(params: LucasParams, n: int) -> LucasTerm:
 
 def lucas_range(params: LucasParams, n_max: int) -> list[LucasTerm]:
     """Terms 0..n_max computed by the plain three-term recurrence."""
-    if n_max < 0:
-        raise ValueError("index must be nonnegative")
-    P, Q = params.P, params.Q
-    us = [0, 1]
-    vs = [2, P]
-    while len(us) <= n_max:
-        us.append(P * us[-1] - Q * us[-2])
-        vs.append(P * vs[-1] - Q * vs[-2])
-    return [LucasTerm(i, us[i], vs[i]) for i in range(n_max + 1)]
+    us, vs = uv_sequence(params, n_max)
+    return [LucasTerm(i, u, v) for i, (u, v) in enumerate(zip(us, vs))]
 
 
 def lucas_uv_mod(params: LucasParams, n: int, modulus: int) -> tuple[int, int]:
@@ -139,24 +147,17 @@ def lucas_uv_mod(params: LucasParams, n: int, modulus: int) -> tuple[int, int]:
     return u, v
 
 
-_UV_CACHE: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-
-
 def uv_sequence(params: LucasParams, n_max: int) -> tuple[list[int], list[int]]:
-    """Exact U_0..U_n and V_0..V_n as two lists, cached per (P, Q).
+    """Exact U_0..U_{n_max} and V_0..V_{n_max} as two new lists.
 
-    The returned lists are shared and may grow on later calls; callers must
-    not mutate them.
+    One walk gives U_0 .. U_{n_max + 1}; V_t = 2 U_{t+1} - P U_t needs no
+    second one.
     """
-    key = (params.P, params.Q)
-    if key not in _UV_CACHE:
-        _UV_CACHE[key] = ([0, 1], [2, params.P])
-    us, vs = _UV_CACHE[key]
-    P, Q = params.P, params.Q
-    while len(us) <= n_max:
-        us.append(P * us[-1] - Q * us[-2])
-        vs.append(P * vs[-1] - Q * vs[-2])
-    return us, vs
+    if n_max < 0:
+        raise ValueError("index must be nonnegative")
+    P = params.P
+    us = list(islice(u_walk(P, params.Q), n_max + 2))
+    return us[:-1], [2 * u1 - P * u for u, u1 in zip(us, us[1:])]
 
 
 def check_identities(params: LucasParams, s: int, t: int) -> bool:

@@ -6,7 +6,7 @@ import itertools
 import math
 from typing import Iterator, NamedTuple
 
-from .lucas import LucasParams, lucas_uv_mod
+from .lucas import LucasParams, lucas_uv_mod, u_walk
 
 __all__ = [
     "NoRankError",
@@ -19,7 +19,6 @@ __all__ = [
     "rank_ladder",
     "euler_criterion_check",
     "maximal_ranks",
-    "find_maximal_rank_primes",
 ]
 
 
@@ -130,14 +129,10 @@ def rank_of_appearance(params: LucasParams, p: int, exponents: int = 1) -> RankI
         raise NoRankError(f"{p} divides Q = {params.Q}")
     if p == 2:
         raise ValueError("p must be odd")
-    pp, qq = params.P % p, params.Q % p
-    u_prev, u = 0, 1
-    rho = 0
-    for t in range(1, p + 2):
+    terms = itertools.islice(u_walk(params.P, params.Q, p), 1, p + 2)
+    for rho, u in enumerate(terms, 1):
         if u == 0:
-            rho = t
             break
-        u_prev, u = u, (pp * u - qq * u_prev) % p
     else:
         raise ArithmeticError(f"no rank of {p} found below {p + 2}")
     epsilon = legendre(params.D, p)
@@ -188,10 +183,3 @@ def maximal_ranks(
         info = rank_of_appearance(params, p, exponents)
         if info.maximal:
             yield info
-
-
-def find_maximal_rank_primes(params: LucasParams, p_min: int, p_max: int) -> list[RankInfo]:
-    """All primes in [p_min, p_max] not dividing Q whose rank is p - epsilon, ascending."""
-    if not 5 <= p_min <= p_max:
-        raise ValueError("need 5 <= p_min <= p_max")
-    return list(maximal_ranks(params, p_min, p_max))

@@ -13,10 +13,10 @@ all at once, with one modular inverse per (P, Q, p) cell.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import NamedTuple, Sequence
 
-from .lucas import LucasParams, lucas_uv_mod
+from .lucas import LucasParams, lucas_uv_mod, u_walk
 from .ranks import NonMaximalRankError, RankInfo
 from .reports import CongruenceReport
 
@@ -144,9 +144,7 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     modulus = p**k
     P, Q = params.P, params.Q
     # One walk gives U_0 .. U_rho; V_t = 2 U_{t+1} - P U_t needs no second one.
-    us = [0, 1 % modulus]
-    for _ in range(rho - 1):
-        us.append((P * us[-1] - Q * us[-2]) % modulus)
+    us = list(islice(u_walk(P, Q, modulus), rho + 1))
     qs = [Q % modulus]
     for _ in range(rho - 2):
         qs.append(qs[-1] * Q % modulus)

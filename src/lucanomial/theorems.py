@@ -13,10 +13,11 @@ command line's `--theorem` choices all read it.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .binomial import Cell, generalized_binomial, lucanomial_residue, zero_cancellations
-from .lucas import LucasParams, lucas_term, lucas_uv_mod
+from .lucas import LucasParams, lucas_term, lucas_uv_mod, u_walk
 from .ranks import NonMaximalRankError, RankInfo, maximal_ranks, rank_of_appearance
 from .reports import CongruenceReport
 from .sums import SumsTable, compute_sums
@@ -155,10 +156,7 @@ def _block_terms(params: LucasParams, rho: int, upto: int) -> list[int]:
     built as U_rho times the terms of U(V_rho, Q^rho).  Where U_rho = 0 every
     term is 0."""
     term = lucas_term(params, rho)
-    q = params.Q**rho
-    seq = [0, 1]
-    while len(seq) <= upto:
-        seq.append(term.V * seq[-1] - q * seq[-2])
+    seq = islice(u_walk(term.V, params.Q**rho), max(upto, 1) + 1)
     return [term.U * x for x in seq]
 
 

@@ -1,5 +1,7 @@
 """Lucas sequence construction, evaluation, and the classical identities."""
 
+from itertools import islice
+
 import pytest
 
 from lucanomial import (
@@ -10,6 +12,7 @@ from lucanomial import (
     lucas_term,
     lucas_uv_mod,
 )
+from lucanomial.lucas import u_walk, uv_sequence
 
 
 def plain_uv(P, Q, n):
@@ -116,10 +119,26 @@ def test_negative_index_rejected():
 @pytest.mark.parametrize("P,Q", [(1, -1), (3, 5), (2, 2), (-4, 3)])
 def test_modular_evaluation_matches_exact(P, Q):
     params = LucasParams(P, Q)
+    exact = list(islice(u_walk(P, Q), 514))
     for modulus in (3, 7**3, 11**5, 3 * 5 * 49):
+        walk = list(islice(u_walk(P, Q, modulus), 514))
         for n in (0, 1, 2, 17, 100, 513):
             term = lucas_term(params, n)
             assert lucas_uv_mod(params, n, modulus) == (term.U % modulus, term.V % modulus)
+            assert walk[n] == term.U % modulus
+            assert exact[n] == term.U
+
+
+def test_uv_sequence_lists_belong_to_the_caller():
+    params = LucasParams(1, -1)
+    us, vs = uv_sequence(params, 10)
+    us[3] = 99
+    us.append(0)
+    del vs[:]
+    fib = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
+    lucas = [2, 1, 3, 4, 7, 11, 18, 29, 47, 76, 123]
+    assert uv_sequence(params, 10) == (fib, lucas)
+    assert [len(x) for x in uv_sequence(params, 4)] == [5, 5]
 
 
 def test_modular_evaluation_needs_odd_modulus():

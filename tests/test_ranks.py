@@ -8,7 +8,6 @@ from lucanomial import (
     LucasParams,
     NoRankError,
     euler_criterion_check,
-    find_maximal_rank_primes,
     is_prime,
     legendre,
     lucas_range,
@@ -16,7 +15,7 @@ from lucanomial import (
     primes_in_range,
     rank_of_appearance,
 )
-from lucanomial.ranks import rank_ladder
+from lucanomial.ranks import maximal_ranks, rank_ladder
 
 
 def naive_rank(params, p, limit=None):
@@ -214,21 +213,16 @@ def test_rank_ladder_stops_at_zero_terms():
 
 
 def test_find_maximal_rank_primes_fibonacci():
-    infos = find_maximal_rank_primes(LucasParams(1, -1), 7, 30)
+    infos = list(maximal_ranks(LucasParams(1, -1), 7, 30))
     assert [(i.p, i.rho) for i in infos] == [(7, 8), (11, 10), (19, 18), (23, 24)]
 
 
 def test_find_maximal_rank_primes_identity_sequence():
-    infos = find_maximal_rank_primes(LucasParams(2, 1), 5, 20)
+    infos = list(maximal_ranks(LucasParams(2, 1), 5, 20))
     assert [i.p for i in infos] == [5, 7, 11, 13, 17, 19]
     assert all(i.rho == i.p and i.epsilon == 0 for i in infos)
 
 
 def test_find_maximal_rank_primes_degenerate():
-    infos = find_maximal_rank_primes(LucasParams(2, 2), 5, 5)
+    infos = list(maximal_ranks(LucasParams(2, 2), 5, 5))
     assert [(i.p, i.rho, i.epsilon) for i in infos] == [(5, 4, 1)]
-
-
-def test_find_maximal_rank_primes_validates_range():
-    with pytest.raises(ValueError):
-        find_maximal_rank_primes(LucasParams(1, -1), 3, 30)

@@ -25,7 +25,7 @@ from .binomial import lucanomial_residue
 from .lucas import LucasParams
 from .ranks import maximal_ranks, primes_in_range, rank_of_appearance
 from .reports import RECORD_FIELDS, CongruenceReport
-from .sums import compute_sums, verify_sum_lemmas
+from .sums import LEMMA_MIN_P, compute_sums, verify_sum_lemmas
 from .theorems import THEOREM_IDS, sweep
 
 
@@ -76,7 +76,7 @@ def _lemma_cell(task) -> tuple[str, int, int] | None:
     if Q % p == 0:
         return None
     rank = rank_of_appearance(params, p)
-    if not rank.maximal or p < 7:
+    if not rank.maximal:
         return None
     return _render(verify_sum_lemmas(params, rank), fmt)
 
@@ -400,6 +400,8 @@ def _run_verify(args, parser) -> int:
 
 def _run_search(args, parser) -> int:
     params_list = _params_list(args, parser)
+    if args.exponents < 1:
+        _fail(parser, "--exponents must be positive")
     rows = [
         (params, info)
         for params in params_list
@@ -427,14 +429,10 @@ def _run_search(args, parser) -> int:
             writer.writerow([params.P, params.Q, info.p, info.rho, info.epsilon, info.maximal])
         text = buf.getvalue()
     else:
-        text = (
-            "\n".join(
-                f"P={params.P} Q={params.Q} p={info.p} rho={info.rho} "
-                f"eps={info.epsilon} maximal"
-                for params, info in rows
-            )
-            + f"\nfound={len(rows)}\n"
-        )
+        text = "".join(
+            f"P={params.P} Q={params.Q} p={info.p} rho={info.rho} eps={info.epsilon} maximal\n"
+            for params, info in rows
+        ) + f"found={len(rows)}\n"
     _write(io.StringIO(text), args.out, parser)
     return 0
 
@@ -444,7 +442,7 @@ def _run_lemmas(args, parser) -> int:
     tasks = [
         (params.P, params.Q, p, args.format)
         for params in params_list
-        for p in primes_in_range(max(args.pmin, 7), args.pmax)
+        for p in primes_in_range(max(args.pmin, LEMMA_MIN_P), args.pmax)
     ]
     return _finish(_map_cells(_lemma_cell, tasks, args.jobs), args, parser)
 
@@ -514,11 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pmax", type=int, required=True)
         sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
         sp.add_argument("--out", help="write the report to this path instead of stdout")
-        sp.add_argument("--jobs", type=int, default=_usable_cpus())
-        sp.add_argument("--seed", type=int, default=0)
 
     v = sub.add_parser("verify", help="run theorem verifications over a prime range")
     common(v, 5)
+    v.add_argument("--seed", type=int, default=0, help="seed of the --cross-check draws")
     v.add_argument(
         "--theorem",
         action="append",
@@ -540,7 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--exponents", type=int, default=1, help="prime-power ranks up to this exponent")
 
     le = sub.add_parser("lemmas", help="run the tabulated-sum lemma suite")
-    common(le, 7)
+    common(le, LEMMA_MIN_P)
+    for sp in (v, le):  # the sweeps that fork workers
+        sp.add_argument("--jobs", type=int, default=_usable_cpus())
 
     t = sub.add_parser("table", help="print the sum table for one (P, Q, p)")
     t.add_argument("--P", type=int, required=True)
@@ -562,7 +561,7 @@ def main(argv=None) -> int:
         for name in ("kmax", "lmax", "cross_check"):
             if (getattr(args, name, None) or 0) < 0:
                 parser.error(f"{name.replace('_', '-')} must be nonnegative")
-        if args.jobs < 1:
+        if getattr(args, "jobs", 1) < 1:
             parser.error("jobs must be positive")
     if args.command == "verify":
         return _run_verify(args, parser)

@@ -29,6 +29,8 @@ __all__ = [
     "verify_sum_lemmas",
 ]
 
+# The least prime the lemma suite is stated for.
+LEMMA_MIN_P = 7
 POWER_MAX = 5
 WEIGHTED_MAX = 3
 MONOMIAL_KEYS = (
@@ -219,7 +221,7 @@ def verify_power_sums(
 
 def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceReport]:
     """Verify every tabulated-sum law at its stated modulus for one maximal-rank
-    prime p >= 7; one report per instance.
+    prime p >= LEMMA_MIN_P (7); one report per instance.
 
     Covers the power-sum values, the pair/triple/quadruple/quintuple sums, the
     weighted sums (for p >= nu + 5), the companion-term values V at odd
@@ -227,8 +229,8 @@ def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceRep
     higher-precision reductions of sigma(1) (mod p^4 and mod p^5).
     """
     p, rho, eps = rank.p, rank.rho, rank.epsilon
-    if p < 7:
-        raise ValueError("the lemma family needs p >= 7")
+    if p < LEMMA_MIN_P:
+        raise ValueError(f"the lemma family needs p >= {LEMMA_MIN_P}")
     if not rank.maximal:
         raise NonMaximalRankError(f"rank of {p} is {rho}, not {p - eps}")
     table = compute_sums(params, rank, 5)

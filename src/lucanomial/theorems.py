@@ -33,15 +33,14 @@ __all__ = [
 
 
 class _Context:
-    """What the cases of one sweep cell (params, p) share, each part built on
-    first use inside the case that needs it, so a failure lands in that
-    case's report.  The cell and the sums table are built at `exponent`,
-    the largest modulus exponent among the theorems checked at p."""
+    """What the cases of one cell (params, p) share, each part built on first
+    use inside the case that needs it, so a failure lands in that case's
+    report.  The cell, the block terms and the sums table reach the case
+    multiplier `kmax` at `exponent`, the largest modulus exponent among the
+    theorems checked at p.  `rank` must be that of p in U(params)."""
 
-    def __init__(
-        self, params: LucasParams, rank: RankInfo, ks: Sequence[int], exponent: int
-    ) -> None:
-        self.params, self.rank, self.ks, self.exponent = params, rank, ks, exponent
+    def __init__(self, params: LucasParams, rank: RankInfo, kmax: int, exponent: int) -> None:
+        self.params, self.rank, self.kmax, self.exponent = params, rank, kmax, exponent
 
     @cached_property
     def cell(self) -> Cell | None:
@@ -49,7 +48,7 @@ class _Context:
         (p | 2QD: the cases take the exact path) or fails (each case then
         meets the failure on its own and reports it)."""
         # N reaches m = (k+1) rho - 1 and its base case 2 rho - 1; LjWe m = k rho.
-        m_max = (max(max(self.ks, default=0), 1) + 1) * self.rank.rho - 1
+        m_max = (max(self.kmax, 1) + 1) * self.rank.rho - 1
         try:
             return Cell(self.params, self.rank.p, m_max, self.exponent)
         except Exception:
@@ -57,7 +56,7 @@ class _Context:
 
     @cached_property
     def blocks(self) -> list[int]:
-        return _block_terms(self.params, self.rank.rho, max(self.ks))
+        return _block_terms(self.params, self.rank.rho, self.kmax)
 
     @cached_property
     def table(self) -> SumsTable:
@@ -77,47 +76,49 @@ class _Theorem(NamedTuple):
 def _fifth_power(variant: int) -> _Theorem:
     return _Theorem(
         7, 5, lambda ks, ls: [{"k": variant}],
-        lambda c, case: verify_fifth_power(c.params, c.rank.p, variant, c.rank, c.table, c.cell),
+        lambda c, case: verify_fifth_power(c.params, c.rank.p, variant, c),
     )
 
 
 _THEOREMS: dict[str, _Theorem] = {
     "N": _Theorem(
         5, 3, lambda ks, ls: [{"k": k} for k in ks],
-        lambda c, case: verify_wolstenholme(c.params, c.rank.p, case["k"], c.rank, c.cell),
+        lambda c, case: verify_wolstenholme(c.params, c.rank.p, case["k"], c),
     ),
     "LjWe": _Theorem(
         5, 3, lambda ks, ls: [{"k": k, "l": l} for k in ks for l in ls if l <= k],
-        lambda c, case: verify_ljunggren(
-            c.params, c.rank.p, case["k"], case["l"], c.rank, c.cell, c.blocks
-        ),
+        lambda c, case: verify_ljunggren(c.params, c.rank.p, case["k"], case["l"], c),
     ),
     **{f"P5_{variant}": _fifth_power(variant) for variant in (1, 2, 3, 4)},
     "P6": _Theorem(
         7, 6, lambda ks, ls: [{}],
-        lambda c, case: verify_sixth_power(c.params, c.rank.p, c.rank, c.table, c.cell),
+        lambda c, case: verify_sixth_power(c.params, c.rank.p, c),
     ),
 }
 THEOREM_IDS = tuple(_THEOREMS)
 
 
-def _preconditions(
-    params: LucasParams, p: int, tid: str, rank: RankInfo | None
-) -> tuple[RankInfo, int]:
-    """Theorem `tid`'s modulus exponent and the rank of p, which must be a
-    prime at or above tid's least prime, of maximal rank.  A given rank must
-    be that of p; one of other (P, Q) cannot be caught, since RankInfo
-    carries no params."""
+def _context(
+    params: LucasParams, p: int, tid: str, context: _Context | None, k: int = 0
+) -> tuple[_Context, int]:
+    """Theorem `tid`'s modulus exponent and the context its case at
+    multiplier k is checked in: the given one, or else a new one for this
+    case alone.  p must be a prime at or above tid's least prime, of maximal
+    rank; a given context must be of (params, p) and reach k at tid's
+    exponent, so one built for another cell cannot answer this case."""
     theorem = _THEOREMS[tid]
     if p < theorem.min_p:
         raise ValueError(f"requires a prime p >= {theorem.min_p}")
-    if rank is None:
-        rank = rank_of_appearance(params, p)  # raises for p not prime
-    elif rank.p != p:
-        raise ValueError(f"rank belongs to p = {rank.p}, not {p}")
+    if context is None:  # rank_of_appearance raises for p not prime
+        context = _Context(params, rank_of_appearance(params, p), k, theorem.exponent)
+    elif context.params != params or context.rank.p != p:
+        raise ValueError(f"context belongs to another cell than ({params.P}, {params.Q}, {p})")
+    elif context.exponent < theorem.exponent or context.kmax < k:
+        raise ValueError(f"context reaches k <= {context.kmax} mod p^{context.exponent} only")
+    rank = context.rank
     if not rank.maximal:
         raise NonMaximalRankError(f"rank of {p} is {rank.rho}, not {p - rank.epsilon}")
-    return rank, theorem.exponent
+    return context, theorem.exponent
 
 
 def _sign_mod(exponent: int, modulus: int) -> int:
@@ -126,25 +127,27 @@ def _sign_mod(exponent: int, modulus: int) -> int:
 
 
 def verify_wolstenholme(
-    params: LucasParams, p: int, k: int, rank: RankInfo | None = None, cell: Cell | None = None
+    params: LucasParams, p: int, k: int, context: _Context | None = None
 ) -> CongruenceReport:
     """Check binom((k+1)rho - 1, rho - 1)_U = (-1)^(k eps) * Q^(k rho (rho-1)/2) mod p^3.
 
-    Needs p >= 5 of maximal rank, p not dividing Q, k >= 0; a given `rank`
-    must be that of p.  Also requires the left side to equal the k-th power
-    of the k = 1 left side mod p^3, which ties the whole family to its base
-    case.  A `cell` for (params, p) with m_max >= (k+1) rho - 1 answers both
-    left sides.
+    Needs p >= 5 of maximal rank, p not dividing Q, k >= 0.  Also requires
+    the left side to equal the k-th power of the k = 1 left side mod p^3,
+    which ties the whole family to its base case.  A `context`, the per-cell
+    one `sweep` builds, supplies the rank and the residue cell that answers
+    both left sides; one not of (params, p), or not reaching k mod p^3, is
+    refused with ValueError.  Without one, the verifier builds one for this
+    case alone.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rank, j = _preconditions(params, p, "N", rank)
-    rho, eps = rank.rho, rank.epsilon
+    context, j = _context(params, p, "N", context, k)
+    rank, rho, eps = context.rank, context.rank.rho, context.rank.epsilon
     modulus = p**j
     m, n = (k + 1) * rho - 1, rho - 1
-    lhs = lucanomial_residue(params, m, n, p, j, cell=cell).residue()
+    lhs = lucanomial_residue(params, m, n, p, j, cell=context.cell).residue()
     rhs = _sign_mod(k * eps, modulus) * pow(params.Q, k * rho * (rho - 1) // 2, modulus)
-    base = lucanomial_residue(params, 2 * rho - 1, rho - 1, p, j, cell=cell).residue()
+    base = lucanomial_residue(params, 2 * rho - 1, rho - 1, p, j, cell=context.cell).residue()
     error = None if pow(base, k, modulus) == lhs else "k-th power of the base case disagrees"
     return CongruenceReport.of(
         "N", params, rank, {"k": k}, j, lhs, rhs, error, zero_cancellations(params, m, n)
@@ -161,13 +164,7 @@ def _block_terms(params: LucasParams, rho: int, upto: int) -> list[int]:
 
 
 def verify_ljunggren(
-    params: LucasParams,
-    p: int,
-    k: int,
-    l: int,
-    rank: RankInfo | None = None,
-    cell: Cell | None = None,
-    blocks: list[int] | None = None,
+    params: LucasParams, p: int, k: int, l: int, context: _Context | None = None
 ) -> CongruenceReport:
     """Check the block congruence mod p^3 for binom(k rho, l rho)_U:
 
@@ -176,18 +173,20 @@ def verify_ljunggren(
 
     with U' the sequence of U-terms at multiples of rho, U'_t = U_{t rho},
     built as U_rho * U(V_rho, Q^rho).  Needs p >= 5 of maximal rank and
-    k >= l >= 0; a given `rank` must be that of p.  A `cell` for
-    (params, p) with m_max >= k rho answers the left side, and `blocks`, the
-    _block_terms of (params, rho) up to k or beyond, the right.
+    k >= l >= 0.  A `context`, the per-cell one `sweep` builds, supplies the
+    rank, the residue cell for the left side and the terms of U' for the
+    right; one not of (params, p), or not reaching k mod p^3, is refused
+    with ValueError.  Without one, the verifier builds one for this case
+    alone.
     """
     if l < 0 or k < l:
         raise ValueError("need k >= l >= 0")
-    rank, j = _preconditions(params, p, "LjWe", rank)
-    rho, eps = rank.rho, rank.epsilon
+    context, j = _context(params, p, "LjWe", context, k)
+    rank, rho, eps = context.rank, context.rank.rho, context.rank.epsilon
     modulus = p**j
     m, n = k * rho, l * rho
-    lhs = lucanomial_residue(params, m, n, p, j, cell=cell).residue()
-    block = generalized_binomial(blocks or _block_terms(params, rho, k), k, l)
+    lhs = lucanomial_residue(params, m, n, p, j, cell=context.cell).residue()
+    block = generalized_binomial(context.blocks, k, l)
     e = l * (k - l)
     rhs = block * _sign_mod(e * eps, modulus) * pow(params.Q, e * rho * (rho - 1) // 2, modulus)
     return CongruenceReport.of(
@@ -195,23 +194,9 @@ def verify_ljunggren(
     )
 
 
-def _table(
-    params: LucasParams, p: int, rank: RankInfo, table: SumsTable | None, precision: int
-) -> SumsTable:
-    """The caller's sums table, or a new one where it is missing or too coarse;
-    a table of other params, p or rho is refused."""
-    if table is not None and (
-        table.params != params or table.p != p or table.rho != rank.rho
-    ):
-        raise ValueError("sums table belongs to another (P, Q, p) or rank")
-    if table is None or table.k < precision:
-        table = compute_sums(params, rank, precision)
-    return table
-
-
-def _central_lhs(params: LucasParams, rank: RankInfo, j: int, cell: Cell | None) -> int:
-    rho = rank.rho
-    return lucanomial_residue(params, 2 * rho - 1, rho - 1, rank.p, j, cell=cell).residue()
+def _central_lhs(context: _Context, j: int) -> int:
+    params, rho, p = context.params, context.rank.rho, context.rank.p
+    return lucanomial_residue(params, 2 * rho - 1, rho - 1, p, j, cell=context.cell).residue()
 
 
 def _uv_ratio(params: LucasParams, rho: int, modulus: int) -> tuple[int, int, int]:
@@ -230,12 +215,7 @@ def _parity_sign(rank: RankInfo, modulus: int) -> int:
 
 
 def verify_fifth_power(
-    params: LucasParams,
-    p: int,
-    variant: int,
-    rank: RankInfo | None = None,
-    table: SumsTable | None = None,
-    cell: Cell | None = None,
+    params: LucasParams, p: int, variant: int, context: _Context | None = None
 ) -> CongruenceReport:
     """Check one of the four mod-p^5 expansions of binom(2 rho - 1, rho - 1)_U.
 
@@ -247,19 +227,20 @@ def verify_fifth_power(
                 + D (U/V)^2 (rho-1)/2].
 
     Here U/V is U_rho/V_rho, s1 and s11 the tabulated sums.  Needs a prime
-    p >= 7 of maximal rank; a given `rank` must be that of p.  A `cell` for
-    (params, p) with m_max >= 2 rho - 1 and precision >= 5 answers the left
-    side; a `table` of (params, p) with precision below 5 is rebuilt, and one
-    of other params, p or rho is refused.
+    p >= 7 of maximal rank.  A `context`, the per-cell one `sweep` builds,
+    supplies the rank, the residue cell for the left side and the sums table
+    for the right; one not of (params, p), or built below p^5, is refused
+    with ValueError.  Without one, the verifier builds one for this case
+    alone.
     """
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
     tid = f"P5_{variant}"
-    rank, j = _preconditions(params, p, tid, rank)
+    context, j = _context(params, p, tid, context)
+    rank, table = context.rank, context.table
     rho, eps = rank.rho, rank.epsilon
-    table = _table(params, p, rank, table, j)
     modulus = p**j
-    lhs = _central_lhs(params, rank, j, cell)
+    lhs = _central_lhs(context, j)
     _, v_r, uv = _uv_ratio(params, rho, modulus)
     s1 = table.sigma(1) % modulus
     s11 = table.sigma(1, 1) % modulus
@@ -286,27 +267,23 @@ def verify_fifth_power(
 
 
 def verify_sixth_power(
-    params: LucasParams,
-    p: int,
-    rank: RankInfo | None = None,
-    table: SumsTable | None = None,
-    cell: Cell | None = None,
+    params: LucasParams, p: int, context: _Context | None = None
 ) -> CongruenceReport:
     """Check the mod-p^6 expansion of binom(2 rho - 1, rho - 1)_U:
 
         (-1)^(rho-1) Q^(rho(rho-1)/2) * [1 + 2 (U/V) s1 + (2/3) (U/V)^3 s3].
 
-    Needs a prime p >= 7 of maximal rank (3 is then invertible mod p^6); a
-    given `rank` must be that of p.  A `cell` for (params, p) with
-    m_max >= 2 rho - 1 and precision 6 answers the left side; a `table` of
-    (params, p) with precision below 6 is rebuilt, and one of other params,
-    p or rho is refused.
+    Needs a prime p >= 7 of maximal rank (3 is then invertible mod p^6).
+    A `context`, the per-cell one `sweep` builds, supplies the rank, the
+    residue cell for the left side and the sums table for the right; one
+    not of (params, p), or built below p^6, is refused with ValueError.
+    Without one, the verifier builds one for this case alone.
     """
-    rank, j = _preconditions(params, p, "P6", rank)
+    context, j = _context(params, p, "P6", context)
+    rank, table = context.rank, context.table
     rho = rank.rho
-    table = _table(params, p, rank, table, j)
     modulus = p**j
-    lhs = _central_lhs(params, rank, j, cell)
+    lhs = _central_lhs(context, j)
     _, _, uv = _uv_ratio(params, rho, modulus)
     s1 = table.sigma(1) % modulus
     s3 = table.sigma(3) % modulus
@@ -334,6 +311,7 @@ def sweep(
             raise ValueError(f"unknown theorem id {tid!r}")
     ks = list(k_range) if k_range is not None else list(range(6))
     ls = list(l_range) if l_range is not None else ks
+    kmax = max(ks, default=0)
     selected = [(tid, _THEOREMS[tid]) for tid in theorem_set]
     reports: list[CongruenceReport] = []
     for params in params_grid:
@@ -341,7 +319,7 @@ def sweep(
             here = [(tid, theorem) for tid, theorem in selected if rank.p >= theorem.min_p]
             if not here:
                 continue
-            context = _Context(params, rank, ks, max(theorem.exponent for _, theorem in here))
+            context = _Context(params, rank, kmax, max(theorem.exponent for _, theorem in here))
             for tid, theorem in here:
                 for case in theorem.cases(ks, ls):
                     try:

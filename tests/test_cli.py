@@ -146,9 +146,11 @@ def test_cross_check_is_its_own_text_group(capsys):
 
 def test_jobs_default_is_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    for command in ("verify", "search", "lemmas"):
+    for command in ("verify", "lemmas"):
         args = build_parser().parse_args([command, "--P", "1", "--Q", "-1", "--pmax", "9"])
         assert args.jobs == 3, command
+    # search forks no workers, so it has no --jobs.
+    assert not hasattr(build_parser().parse_args(["search", "--grid", "1,1", "--pmax", "9"]), "jobs")
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert build_parser().parse_args(["verify", "--grid", "1,1", "--pmax", "9"]).jobs == 1
@@ -589,7 +591,7 @@ def test_cross_check_deterministic_for_seed(tmp_path):
 
 
 def test_search_lists_maximal_primes(capsys):
-    code = main(["search", "--P", "1", "--Q", "-1", "--pmin", "7", "--pmax", "30", "--jobs", "1"])
+    code = main(["search", "--P", "1", "--Q", "-1", "--pmin", "7", "--pmax", "30"])
     assert code == 0
     text = capsys.readouterr().out
     for p, rho in ((7, 8), (11, 10), (19, 18), (23, 24)):
@@ -600,6 +602,12 @@ def test_search_lists_maximal_primes(capsys):
     assert main(["search", "--P", "1", "--Q", "-1", "--pmin", "2", "--pmax", "30"]) == 0
     text = capsys.readouterr().out
     assert "p=3 rho=4" in text and "p=2 " not in text and "found=6" in text
+
+
+def test_empty_text_search_prints_the_count_alone(capsys):
+    # No maximal-rank prime lies in [14, 16] for Fibonacci: no blank line either.
+    assert main(["search", "--P", "1", "--Q", "-1", "--pmin", "14", "--pmax", "16"]) == 0
+    assert capsys.readouterr().out == "found=0\n"
 
 
 def test_lemmas_command(tmp_path):
@@ -653,6 +661,11 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         ["table", "--P", "1", "--Q", "-1", "--p", "9"],
         ["table", "--P", "1", "--Q", "7", "--p", "7"],
         ["table", "--P", "1", "--Q", "-1", "--p", "11", "--precision", "0"],
+        ["search", "--P", "1", "--Q", "-1", "--pmax", "12", "--exponents", "-3"],
+        ["search", "--P", "1", "--Q", "-1", "--pmax", "12", "--exponents", "0"],
+        ["search", "--P", "1", "--Q", "-1", "--pmax", "12", "--jobs", "1"],
+        ["search", "--P", "1", "--Q", "-1", "--pmax", "12", "--seed", "1"],
+        ["lemmas", "--P", "1", "--Q", "-1", "--pmax", "12", "--seed", "1"],
         ["verify", "--P", "1", "--Q", "-1", "--pmax", "20", "--jobs", "1", "--out", unwritable],
         ["search", "--P", "1", "--Q", "-1", "--pmax", "20", "--out", unwritable],
         ["lemmas", "--P", "1", "--Q", "-1", "--pmax", "20", "--jobs", "1", "--out", unwritable],

@@ -83,8 +83,8 @@ def test_records_keep_their_repr():
 
 
 def test_error_column_carries_record_reprs(monkeypatch):
-    def failing_check(params, p, k, rank=None, cell=None):
-        raise ArithmeticError(params, rank)
+    def failing_check(params, p, k, context=None):
+        raise ArithmeticError(params, context.rank)
 
     monkeypatch.setattr(theorems, "verify_wolstenholme", failing_check)
     rank = rank_of_appearance(FIB, 11, 1)

@@ -9,7 +9,6 @@ from lucanomial import (
     NonMaximalRankError,
     THEOREM_IDS,
     NoRankError,
-    compute_sums,
     lucanomial_residue,
     rank_of_appearance,
     sweep,
@@ -20,7 +19,7 @@ from lucanomial import (
 )
 from lucanomial.lucas import uv_sequence
 from lucanomial.ranks import maximal_ranks
-from lucanomial.theorems import _block_terms
+from lucanomial.theorems import _block_terms, _Context
 
 FIB = LucasParams(1, -1)
 NAT = LucasParams(2, 1)  # U_n = n, ordinary binomials
@@ -59,7 +58,7 @@ def test_wolstenholme_power_identity():
     rank = rank_of_appearance(FIB, 11)
     base = lucanomial_residue(FIB, 2 * rank.rho - 1, rank.rho - 1, 11, 3).residue()
     for k in range(0, 6):
-        r = verify_wolstenholme(FIB, 11, k, rank)
+        r = verify_wolstenholme(FIB, 11, k)
         assert r.holds
         assert r.lhs == pow(base, k, 11**3)
 
@@ -69,7 +68,7 @@ def test_wolstenholme_epsilon_power_form_for_fibonacci():
     for p in (7, 11, 19, 23):
         rank = rank_of_appearance(FIB, p)
         for k in range(0, 4):
-            r = verify_wolstenholme(FIB, p, k, rank)
+            r = verify_wolstenholme(FIB, p, k)
             assert r.holds
             assert r.rhs == pow(rank.epsilon, k, p**3) % p**3
 
@@ -175,48 +174,66 @@ def test_sixth_power_fibonacci():
         verify_sixth_power(FIB, 13)
 
 
-def test_verifiers_rebuild_a_coarse_sums_table():
-    # A table below the verifier's precision once gave false counterexamples
-    # for variants 1, 2 and 4 at these primes; it is now rebuilt.
-    for p in (11, 19, 31):
-        rank = rank_of_appearance(FIB, p)
-        for precision in (1, 3, 5):
-            coarse = compute_sums(FIB, rank, precision)
-            for variant in (1, 2, 3, 4):
-                r = verify_fifth_power(FIB, p, variant, rank, coarse)
-                assert r == verify_fifth_power(FIB, p, variant, rank), (p, precision, variant)
-                assert r.holds
-            r = verify_sixth_power(FIB, p, rank, coarse)
-            assert r == verify_sixth_power(FIB, p, rank) and r.holds, (p, precision)
+def _verifiers_at_fib_11(context):
+    return (
+        lambda: verify_wolstenholme(FIB, 11, 2, context),
+        lambda: verify_ljunggren(FIB, 11, 3, 1, context),
+        *(lambda v=v: verify_fifth_power(FIB, 11, v, context) for v in (1, 2, 3, 4)),
+        lambda: verify_sixth_power(FIB, 11, context),
+    )
 
 
 def test_verifiers_refuse_a_sums_table_of_another_cell():
-    rank = rank_of_appearance(FIB, 11)
-    table = compute_sums(FIB, rank, 6)
-    for other in (
-        compute_sums(NAT, rank_of_appearance(NAT, 11), 6),  # other params
-        compute_sums(FIB, rank_of_appearance(FIB, 19), 6),  # other p and rank
-        table._replace(p=13),  # other p
-        table._replace(rho=rank.rho + 1),  # other rank
-    ):
-        for variant in (1, 2, 3, 4):
-            with pytest.raises(ValueError, match="another"):
-                verify_fifth_power(FIB, 11, variant, rank, other)
-        with pytest.raises(ValueError, match="another"):
-            verify_sixth_power(FIB, 11, rank, other)
-    assert verify_sixth_power(FIB, 11, rank, table).holds
+    # Given the block terms of (2, 1), LjWe at Fibonacci once reported lhs
+    # 487 against rhs 3.  A context of another (P, Q), whose sums table and
+    # block terms are those of that cell, is refused by every verifier.
+    other = _Context(NAT, rank_of_appearance(NAT, 11), 5, 6)
+    for verify in _verifiers_at_fib_11(other):
+        with pytest.raises(ValueError, match="another cell"):
+            verify()
+    own = _Context(FIB, rank_of_appearance(FIB, 11), 5, 6)
+    assert all(verify().holds for verify in _verifiers_at_fib_11(own))
 
 
 def test_verifiers_refuse_a_rank_of_another_prime():
-    other = rank_of_appearance(FIB, 19)
-    for verify in (
-        lambda: verify_wolstenholme(FIB, 11, 1, rank=other),
-        lambda: verify_ljunggren(FIB, 11, 2, 1, rank=other),
-        lambda: verify_fifth_power(FIB, 11, 2, rank=other),
-        lambda: verify_sixth_power(FIB, 11, rank=other),
-    ):
-        with pytest.raises(ValueError, match="belongs to p = 19"):
+    # Given the rank of another prime, N once reported that its base case
+    # disagrees.  A context of another p, rank included, is refused instead.
+    other = _Context(FIB, rank_of_appearance(FIB, 19), 5, 6)
+    for verify in _verifiers_at_fib_11(other):
+        with pytest.raises(ValueError, match="another cell than \\(1, -1, 11\\)"):
             verify()
+
+
+def test_verifiers_refuse_a_context_that_falls_short():
+    # A context reaching k = 1 serves N and LjWe up to k = 1 only.
+    short = _Context(FIB, rank_of_appearance(FIB, 11), 1, 6)
+    assert verify_wolstenholme(FIB, 11, 1, short) == verify_wolstenholme(FIB, 11, 1)
+    assert verify_ljunggren(FIB, 11, 1, 1, short) == verify_ljunggren(FIB, 11, 1, 1)
+    for verify in (
+        lambda: verify_wolstenholme(FIB, 11, 2, short),
+        lambda: verify_ljunggren(FIB, 11, 2, 1, short),
+    ):
+        with pytest.raises(ValueError, match="reaches k <= 1"):
+            verify()
+    # A sums table below the verifier's precision once gave false
+    # counterexamples for P5 variants 1, 2 and 4 at these primes; a context
+    # built below a theorem's modulus exponent is now refused.
+    for p in (11, 19, 31):
+        rank = rank_of_appearance(FIB, p)
+        for exponent in (1, 3, 5, 6):
+            context = _Context(FIB, rank, 5, exponent)
+            for needs, verify in (
+                (3, lambda c=None: verify_wolstenholme(FIB, p, 5, c)),
+                (3, lambda c=None: verify_ljunggren(FIB, p, 5, 2, c)),
+                *((5, lambda c=None, v=v: verify_fifth_power(FIB, p, v, c)) for v in (1, 2, 3, 4)),
+                (6, lambda c=None: verify_sixth_power(FIB, p, c)),
+            ):
+                if exponent < needs:
+                    with pytest.raises(ValueError, match=f"mod p\\^{exponent} only"):
+                        verify(context)
+                else:
+                    r = verify(context)
+                    assert r == verify() and r.holds, (p, exponent, r)
 
 
 def test_lhs_path_independence():

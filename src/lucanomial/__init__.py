@@ -4,7 +4,6 @@ Wolstenholme-type congruences modulo p^3, p^5 and p^6 for arbitrary (P, Q)."""
 from .binomial import (
     Cell,
     ConventionViolation,
-    LucanomialValue,
     NonIntegralError,
     ValuedResidue,
     generalized_binomial,
@@ -49,7 +48,6 @@ __all__ = [
     "Cell",
     "CongruenceReport",
     "ConventionViolation",
-    "LucanomialValue",
     "LucasParams",
     "LucasTerm",
     "NonIntegralError",

@@ -19,13 +19,13 @@ from .ranks import NoRankError, is_prime, rank_ladder
 __all__ = [
     "NonIntegralError",
     "ConventionViolation",
-    "LucanomialValue",
     "ValuedResidue",
     "Cell",
     "generalized_binomial",
     "lucanomial_exact",
     "lucanomial_residue",
     "zero_cancellations",
+    "rank_path",
     "integrality_sweep",
 ]
 
@@ -36,14 +36,6 @@ class NonIntegralError(ArithmeticError):
 
 class ConventionViolation(ArithmeticError):
     """More zero factors below than above the bar; excluded for Lucas sequences."""
-
-
-class LucanomialValue(NamedTuple):
-    """Exact generalized binomial coefficient binom(m, n) over U."""
-
-    m: int
-    n: int
-    value: int
 
 
 class _ResidueFields(NamedTuple):
@@ -135,33 +127,32 @@ def _convention_quotient(num: Sequence[int], den: Sequence[int]) -> int:
 
 
 def generalized_binomial(values: Sequence[int], m: int, n: int) -> int:
-    """binom(m, n) over an arbitrary integer sequence (values[0] must be 0),
-    applying the pairwise zero-cancellation convention."""
+    """binom(m, n) over an arbitrary integer sequence (values[0] must be 0,
+    and values must reach index m), applying the pairwise zero-cancellation
+    convention."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    if n == 0:
-        return 1
+    if len(values) <= m:
+        raise ValueError(f"values end at index {len(values) - 1}, before m = {m}")
     if m < n:
         return 0
-    return _convention_quotient(
-        [values[m - i] for i in range(n)], [values[i] for i in range(1, n + 1)]
-    )
+    if n == 0 or n == m:
+        # For n = m the factors above and below the bar are the same
+        # values[m] .. values[1]: their zeros cancel pairwise and the quotient
+        # of the rest is 1.
+        return 1
+    return _convention_quotient(values[m - n + 1 : m + 1], values[1 : n + 1])
 
 
-def lucanomial_exact(params: LucasParams, m: int, n: int) -> LucanomialValue:
+def lucanomial_exact(params: LucasParams, m: int, n: int) -> int:
     """Exact Lucanomial binom(m, n)_U as an arbitrary-precision integer."""
     if m < 0 or n < 0:
         raise ValueError("indices must be nonnegative")
-    if n == 0:
-        return LucanomialValue(m, n, 1)
     if m < n:
-        return LucanomialValue(m, n, 0)
-    if m == n:
-        # The factors above and below the bar are the same U_m .. U_1: their
-        # zeros cancel pairwise and the quotient of the rest is 1.
-        return LucanomialValue(m, n, 1)
-    us, _ = uv_sequence(params, m)
-    return LucanomialValue(m, n, _convention_quotient(us[m - n + 1 : m + 1], us[1 : n + 1]))
+        return 0
+    if n == 0 or n == m:  # as generalized_binomial answers, with no walk of U
+        return 1
+    return generalized_binomial(uv_sequence(params, m)[0], m, n)
 
 
 def zero_cancellations(params: LucasParams, m: int, n: int) -> int:
@@ -174,6 +165,15 @@ def zero_cancellations(params: LucasParams, m: int, n: int) -> int:
     return min(above, below)
 
 
+def rank_path(params: LucasParams, p: int) -> bool:
+    """True iff the rank path (Cell) serves the odd prime p: p coprime to 2QD.
+
+    Its facts hold for every p not dividing 2Q (see the README); p | D stays
+    on the exact path while the sweeps are the benchmark's only route to it.
+    """
+    return (2 * params.Q * params.D) % p != 0
+
+
 class Cell:
     """Rank-path residue context for one (P, Q, p): binom(m, n)_U mod p^j for
     every 0 <= m <= m_max and 1 <= j <= k in constant time.
@@ -183,7 +183,7 @@ class Cell:
     of p, mod p^k) and prefix sums of their valuations, all from one
     recurrence pass mod p^(k + the largest valuation).  A Lucanomial is then
     a ratio of prefix entries, the analogue of a factorial quotient.  Needs
-    p coprime to 2QD.
+    p on the rank path (`rank_path`).
     """
 
     def __init__(self, params: LucasParams, p: int, m_max: int, k: int) -> None:
@@ -191,8 +191,8 @@ class Cell:
             raise ValueError("precision k must be positive")
         if p == 2 or not is_prime(p):
             raise ValueError("p must be an odd prime")
-        if (2 * params.Q * params.D) % p == 0:
-            raise ValueError("rank path requires p coprime to 2QD")
+        if not rank_path(params, p):
+            raise ValueError(f"p = {p} is off the rank path of U({params.P}, {params.Q})")
         if m_max < 0:
             raise ValueError("indices must be nonnegative")
         self.params, self.p, self.m_max, self.k = params, p, m_max, k
@@ -260,16 +260,16 @@ def lucanomial_residue(
 ) -> ValuedResidue:
     """Residue of binom(m, n)_U mod p^k as (valuation, unit mod p^k).
 
-    The "rank" path needs p coprime to 2QD: each factor's valuation is read
-    off the ranks of p, p^2, ... and its unit from one recurrence pass mod
-    p^(k + v_max).  It is answered by `cell` when one is given (a Cell of
+    The "rank" path needs p on it (`rank_path`): each factor's valuation is
+    read off the ranks of p, p^2, ... and its unit from one recurrence pass
+    mod p^(k + v_max).  It is answered by `cell` when one is given (a Cell of
     the same params and p with m <= m_max and k within its precision), else
     by a one-shot Cell.  The "exact" path builds the integer value and
     strips powers of p; it works for any odd prime p not dividing Q.  "auto"
     picks the rank path whenever it is allowed.  Both paths agree exactly.
     """
     if cell is not None and method != "exact":
-        # The cell proved p an odd prime coprime to 2QD when it was built, and
+        # The cell proved p an odd prime on the rank path when it was built, and
         # its residue checks k and the indices: only its identity is left.
         if method not in ("auto", "rank"):
             raise ValueError(f"unknown method {method!r}")
@@ -292,12 +292,10 @@ def lucanomial_residue(
     if m < n:
         return ValuedResidue.exact_zero(p, k)
     if method == "auto":
-        method = "exact" if (2 * params.Q * params.D) % p == 0 else "rank"
+        method = "rank" if rank_path(params, p) else "exact"
     if method == "exact":
-        return ValuedResidue.from_integer(lucanomial_exact(params, m, n).value, p, k)
-    if (2 * params.Q * params.D) % p == 0:
-        raise ValueError("rank path requires p coprime to 2QD")
-    return Cell(params, p, m, k).residue(m, n, k)
+        return ValuedResidue.from_integer(lucanomial_exact(params, m, n), p, k)
+    return Cell(params, p, m, k).residue(m, n, k)  # Cell refuses p off the rank path
 
 
 def integrality_sweep(params: LucasParams, m_max: int) -> bool:

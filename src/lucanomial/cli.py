@@ -21,7 +21,7 @@ import sys
 import tempfile
 from typing import Iterator, NoReturn
 
-from .binomial import lucanomial_residue
+from .binomial import lucanomial_residue, rank_path
 from .lucas import LucasParams
 from .ranks import maximal_ranks, primes_in_range, rank_of_appearance
 from .reports import RECORD_FIELDS, CongruenceReport
@@ -210,7 +210,7 @@ def _cross_check_reports(params_list, p_min, p_max, count, seed) -> Iterator[Con
     eligible = []
     for params in params_list:
         for p in primes_in_range(max(p_min, 3), p_max):
-            if (2 * params.Q * params.D) % p != 0:
+            if rank_path(params, p):
                 eligible.append((params, p))
     if not eligible:
         return

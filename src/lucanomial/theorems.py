@@ -45,8 +45,8 @@ class _Context:
     @cached_property
     def cell(self) -> Cell | None:
         """One residue context for every case, or None where Cell refuses p
-        (p | 2QD: the cases take the exact path) or fails (each case then
-        meets the failure on its own and reports it)."""
+        (p off `rank_path`: the cases take the exact path) or fails (each
+        case then meets the failure on its own and reports it)."""
         # N reaches m = (k+1) rho - 1 and its base case 2 rho - 1; LjWe m = k rho.
         m_max = (max(self.kmax, 1) + 1) * self.rank.rho - 1
         try:

@@ -53,17 +53,17 @@ def oracle_lucanomial(P, Q, m, n):
 
 def test_fibonomial_example():
     assert oracle_lucanomial(1, -1, 9, 4) == 12376
-    assert lucanomial_exact(LucasParams(1, -1), 9, 4).value == 12376
+    assert lucanomial_exact(LucasParams(1, -1), 9, 4) == 12376
 
 
 def test_degenerate_example_power_of_two():
     assert oracle_lucanomial(2, 2, 12, 8) == 4096
-    assert lucanomial_exact(LucasParams(2, 2), 12, 8).value == 4096
+    assert lucanomial_exact(LucasParams(2, 2), 12, 8) == 4096
 
 
 def test_boundary_cases():
-    assert lucanomial_exact(LucasParams(3, 5), 17, 0).value == 1
-    assert lucanomial_exact(LucasParams(1, -1), 5, 7).value == 0
+    assert lucanomial_exact(LucasParams(3, 5), 17, 0) == 1
+    assert lucanomial_exact(LucasParams(1, -1), 5, 7) == 0
 
 
 @pytest.mark.parametrize("P,Q", [(1, -1), (2, 2), (0, 3), (1, 1), (3, 3), (-2, 5)])
@@ -71,7 +71,7 @@ def test_exact_matches_oracle(P, Q):
     params = LucasParams(P, Q)
     for m in range(0, 25):
         for n in range(0, m + 2):
-            assert lucanomial_exact(params, m, n).value == oracle_lucanomial(P, Q, m, n)
+            assert lucanomial_exact(params, m, n) == oracle_lucanomial(P, Q, m, n)
 
 
 @pytest.mark.parametrize("P,Q", [(1, -1), (30, 1), (2, 2), (0, 3), (3, 3)])
@@ -85,8 +85,8 @@ def test_symmetry_nondegenerate():
         for m in range(0, 40):
             for n in range(0, m + 1):
                 assert (
-                    lucanomial_exact(params, m, n).value
-                    == lucanomial_exact(params, m, m - n).value
+                    lucanomial_exact(params, m, n)
+                    == lucanomial_exact(params, m, m - n)
                 )
 
 
@@ -100,10 +100,10 @@ def test_addition_recurrence_nondegenerate():
             for n in range(1, m):
                 assert us[n + 1] * us[m - n] - Q * us[n] * us[m - n - 1] == us[m]
                 lhs = (
-                    us[n + 1] * lucanomial_exact(params, m - 1, n).value
-                    - Q * us[m - n - 1] * lucanomial_exact(params, m - 1, n - 1).value
+                    us[n + 1] * lucanomial_exact(params, m - 1, n)
+                    - Q * us[m - n - 1] * lucanomial_exact(params, m - 1, n - 1)
                 )
-                assert lhs == lucanomial_exact(params, m, n).value
+                assert lhs == lucanomial_exact(params, m, n)
 
 
 def test_convention_quotient_error_paths():
@@ -126,7 +126,7 @@ def test_exact_diagonal_is_one():
             us = [t.U for t in lucas_range(params, 60)]
             for m in range(1, 61):
                 factors = us[1 : m + 1]
-                assert lucanomial_exact(params, m, m).value == _convention_quotient(
+                assert lucanomial_exact(params, m, m) == _convention_quotient(
                     factors, factors
                 ), (P, Q, m)
 
@@ -147,6 +147,8 @@ def test_generalized_binomial_matches_ordinary():
     for m in range(0, 20):
         for n in range(0, 22):
             assert generalized_binomial(naturals, m, n) == comb(m, n)
+    with pytest.raises(ValueError):
+        generalized_binomial([0, 1, 1], 5, 2)  # values end before index m
 
 
 def test_zero_cancellations_counts():
@@ -192,7 +194,7 @@ def test_zero_discriminant_closed_form(a):
     for m in range(51):
         for n in range(m + 2):
             closed = comb(m, n) * a ** (n * (m - n)) if n <= m else 0
-            assert lucanomial_exact(params, m, n).value == closed, (m, n)
+            assert lucanomial_exact(params, m, n) == closed, (m, n)
             for p in (5, 7, 11):
                 expected = ValuedResidue.from_integer(closed, p, 4)
                 assert lucanomial_residue(params, m, n, p, 4) == expected, (m, n, p)

@@ -15,6 +15,7 @@ from lucanomial import (
     primes_in_range,
     rank_of_appearance,
 )
+from lucanomial.lucas import uv_sequence
 from lucanomial.ranks import maximal_ranks, rank_ladder
 
 
@@ -210,6 +211,36 @@ def test_rank_ladder_stops_at_zero_terms():
     ladder = rank_ladder(LucasParams(2, 2), 5, 1000)
     assert ladder[0] == 4
     assert len(ladder) <= 2
+
+
+def test_rank_ladder_counts_valuations_when_p_divides_d():
+    # The rank path needs (a) p^a | U_t iff rank(p^a) | t and (b) each rung
+    # of the ladder is 1 or p times the one before.  Neither uses p not
+    # dividing D: then the rungs dividing t count v_p(U_t) exactly.  Checked
+    # for |P|, |Q| <= 5 at each odd prime p < 50 with p | D and p not
+    # dividing Q (the D = 0 pairs at every such p), for t <= 2 p^2.
+    cells = terms = 0
+    for P in range(-5, 6):
+        for Q in range(-5, 6):
+            if Q == 0:
+                continue
+            params = LucasParams(P, Q)
+            for p in primes_in_range(3, 49):
+                if Q % p == 0 or params.D % p:
+                    continue
+                ladder = rank_ladder(params, p, 2 * p * p)
+                us = uv_sequence(params, 2 * p * p)[0]
+                for t, u in enumerate(us[1:], 1):
+                    if u == 0:
+                        continue
+                    v = 0
+                    while u % p == 0:
+                        u //= p
+                        v += 1
+                    assert v == sum(t % r == 0 for r in ladder), (P, Q, p, t)
+                    terms += 1
+                cells += 1
+    assert (cells, terms) == (136, 113272)
 
 
 def test_find_maximal_rank_primes_fibonacci():

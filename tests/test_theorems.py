@@ -9,6 +9,7 @@ from lucanomial import (
     NonMaximalRankError,
     THEOREM_IDS,
     NoRankError,
+    lucanomial_exact,
     lucanomial_residue,
     rank_of_appearance,
     sweep,
@@ -71,6 +72,27 @@ def test_wolstenholme_epsilon_power_form_for_fibonacci():
             r = verify_wolstenholme(FIB, p, k)
             assert r.holds
             assert r.rhs == pow(rank.epsilon, k, p**3) % p**3
+
+
+def test_wolstenholme_depth_beyond_the_modulus():
+    # v_p(binom(2 rho - 1, rho - 1)_U - (-1)^eps Q^(rho(rho-1)/2)) from the
+    # exact integer: N at k = 1 claims at least 3.  Depth 4 marks a
+    # Lucas-Wolstenholme prime; at (5, 3, 7) v_7(U_8) = 3 lifts it to 7.
+    deeper = {(1, -1, 11): 4, (3, 2, 5): 4, (3, -1, 13): 4, (1, 2, 11): 4, (5, 3, 7): 7}
+    depths = {}
+    for P, Q in [(2, 1), (1, -1), (2, -1), (3, 2), (3, -1), (1, 2), (5, 3)]:
+        params = LucasParams(P, Q)
+        for rank in maximal_ranks(params, 5, 13):
+            p, rho = rank.p, rank.rho
+            sign = -1 if rank.epsilon else 1  # (-1)**eps is a float for eps = -1
+            x = lucanomial_exact(params, 2 * rho - 1, rho - 1) - sign * Q ** (rho * (rho - 1) // 2)
+            v = 0
+            while x % p == 0:
+                x //= p
+                v += 1
+            depths[P, Q, p] = v
+    assert len(depths) == 20
+    assert depths == {cell: deeper.get(cell, 3) for cell in depths}
 
 
 def test_wolstenholme_preconditions():

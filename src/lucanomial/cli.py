@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -65,15 +66,19 @@ def _params_list(args, parser) -> list[LucasParams]:
     return [LucasParams(args.P, args.Q)]
 
 
-def _verify_cell(task) -> tuple[str, int, int] | None:
-    P, Q, p, theorems, ks, ls, fmt = task
-    return _render(sweep([LucasParams(P, Q)], (p, p), theorems, ks, ls), fmt)
+def _cell_at(cell, params_list, primes, rest, i):
+    """`cell` of sweep cell i and `rest`.  A sweep's tasks are its cell numbers,
+    a range, so no task per cell is held.  The cells run each (P, Q), then each
+    p: cell i is (params_list[i // len(primes)], primes[i % len(primes)])."""
+    return cell(params_list[i // len(primes)], primes[i % len(primes)], *rest)
 
 
-def _lemma_cell(task) -> tuple[str, int, int] | None:
-    P, Q, p, fmt = task
-    params = LucasParams(P, Q)
-    if Q % p == 0:
+def _verify_cell(params, p, theorems, ks, ls, fmt) -> tuple[str, int, int] | None:
+    return _render(sweep([params], (p, p), theorems, ks, ls), fmt)
+
+
+def _lemma_cell(params, p, fmt) -> tuple[str, int, int] | None:
+    if params.Q % p == 0:
         return None
     rank = rank_of_appearance(params, p)
     if not rank.maximal:
@@ -207,11 +212,8 @@ def _work(worker, tasks, size, claims, offers, tell, spool) -> NoReturn:
 
 def _cross_check_reports(params_list, p_min, p_max, count, seed) -> Iterator[CongruenceReport]:
     """Seeded random fast-path vs exact-path residue comparisons."""
-    eligible = []
-    for params in params_list:
-        for p in primes_in_range(max(p_min, 3), p_max):
-            if rank_path(params, p):
-                eligible.append((params, p))
+    primes = primes_in_range(max(p_min, 3), p_max)
+    eligible = [(params, p) for params in params_list for p in primes if rank_path(params, p)]
     if not eligible:
         return
     rng = random.Random(seed)
@@ -382,12 +384,10 @@ def _run_verify(args, parser) -> int:
     ks = tuple(range(args.kmax + 1))
     lmax = args.kmax if args.lmax is None else args.lmax
     ls = tuple(range(lmax + 1))
-    tasks = [
-        (params.P, params.Q, p, theorems, ks, ls, args.format)
-        for params in params_list
-        for p in primes_in_range(args.pmin, args.pmax)
-    ]
-    batches = _map_cells(_verify_cell, tasks, args.jobs)
+    primes = primes_in_range(args.pmin, args.pmax)
+    rest = (theorems, ks, ls, args.format)
+    worker = functools.partial(_cell_at, _verify_cell, params_list, primes, rest)
+    batches = _map_cells(worker, range(len(params_list) * len(primes)), args.jobs)
     if args.cross_check:
         # Made in this process, as one batch of its own; map defers it until
         # the cells are written.
@@ -439,12 +439,10 @@ def _run_search(args, parser) -> int:
 
 def _run_lemmas(args, parser) -> int:
     params_list = _params_list(args, parser)
-    tasks = [
-        (params.P, params.Q, p, args.format)
-        for params in params_list
-        for p in primes_in_range(max(args.pmin, LEMMA_MIN_P), args.pmax)
-    ]
-    return _finish(_map_cells(_lemma_cell, tasks, args.jobs), args, parser)
+    primes = primes_in_range(max(args.pmin, LEMMA_MIN_P), args.pmax)
+    worker = functools.partial(_cell_at, _lemma_cell, params_list, primes, (args.format,))
+    batches = _map_cells(worker, range(len(params_list) * len(primes)), args.jobs)
+    return _finish(batches, args, parser)
 
 
 def _run_table(args, parser) -> int:

@@ -55,6 +55,14 @@ class _Context:
             return None
 
     @cached_property
+    def central(self) -> int:
+        """binom(2 rho - 1, rho - 1)_U mod p^exponent: N's base case and the
+        left side of P5 and P6, each of which reduces it to its own modulus."""
+        p, rho = self.rank.p, self.rank.rho
+        m, n = 2 * rho - 1, rho - 1
+        return lucanomial_residue(self.params, m, n, p, self.exponent, cell=self.cell).residue()
+
+    @cached_property
     def blocks(self) -> list[int]:
         return _block_terms(self.params, self.rank.rho, self.kmax)
 
@@ -134,10 +142,10 @@ def verify_wolstenholme(
     Needs p >= 5 of maximal rank, p not dividing Q, k >= 0.  Also requires
     the left side to equal the k-th power of the k = 1 left side mod p^3,
     which ties the whole family to its base case.  A `context`, the per-cell
-    one `sweep` builds, supplies the rank and the residue cell that answers
-    both left sides; one not of (params, p), or not reaching k mod p^3, is
-    refused with ValueError.  Without one, the verifier builds one for this
-    case alone.
+    one `sweep` builds, supplies the rank, the residue cell for the left side
+    and the central Lucanomial for the base case; one not of (params, p), or
+    not reaching k mod p^3, is refused with ValueError.  Without one, the
+    verifier builds one for this case alone.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -147,7 +155,7 @@ def verify_wolstenholme(
     m, n = (k + 1) * rho - 1, rho - 1
     lhs = lucanomial_residue(params, m, n, p, j, cell=context.cell).residue()
     rhs = _sign_mod(k * eps, modulus) * pow(params.Q, k * rho * (rho - 1) // 2, modulus)
-    base = lucanomial_residue(params, 2 * rho - 1, rho - 1, p, j, cell=context.cell).residue()
+    base = context.central % modulus
     error = None if pow(base, k, modulus) == lhs else "k-th power of the base case disagrees"
     return CongruenceReport.of(
         "N", params, rank, {"k": k}, j, lhs, rhs, error, zero_cancellations(params, m, n)
@@ -194,11 +202,6 @@ def verify_ljunggren(
     )
 
 
-def _central_lhs(context: _Context, j: int) -> int:
-    params, rho, p = context.params, context.rank.rho, context.rank.p
-    return lucanomial_residue(params, 2 * rho - 1, rho - 1, p, j, cell=context.cell).residue()
-
-
 def _uv_ratio(params: LucasParams, rho: int, modulus: int) -> tuple[int, int, int]:
     u_r, v_r = lucas_uv_mod(params, rho, modulus)
     return u_r, v_r, u_r * pow(v_r, -1, modulus) % modulus
@@ -228,8 +231,8 @@ def verify_fifth_power(
 
     Here U/V is U_rho/V_rho, s1 and s11 the tabulated sums.  Needs a prime
     p >= 7 of maximal rank.  A `context`, the per-cell one `sweep` builds,
-    supplies the rank, the residue cell for the left side and the sums table
-    for the right; one not of (params, p), or built below p^5, is refused
+    supplies the rank, the central Lucanomial for the left side and the sums
+    table for the right; one not of (params, p), or built below p^5, is refused
     with ValueError.  Without one, the verifier builds one for this case
     alone.
     """
@@ -240,7 +243,7 @@ def verify_fifth_power(
     rank, table = context.rank, context.table
     rho, eps = rank.rho, rank.epsilon
     modulus = p**j
-    lhs = _central_lhs(context, j)
+    lhs = context.central % modulus
     _, v_r, uv = _uv_ratio(params, rho, modulus)
     s1 = table.sigma(1) % modulus
     s11 = table.sigma(1, 1) % modulus
@@ -275,7 +278,7 @@ def verify_sixth_power(
 
     Needs a prime p >= 7 of maximal rank (3 is then invertible mod p^6).
     A `context`, the per-cell one `sweep` builds, supplies the rank, the
-    residue cell for the left side and the sums table for the right; one
+    central Lucanomial for the left side and the sums table for the right; one
     not of (params, p), or built below p^6, is refused with ValueError.
     Without one, the verifier builds one for this case alone.
     """
@@ -283,7 +286,7 @@ def verify_sixth_power(
     rank, table = context.rank, context.table
     rho = rank.rho
     modulus = p**j
-    lhs = _central_lhs(context, j)
+    lhs = context.central % modulus
     _, _, uv = _uv_ratio(params, rho, modulus)
     s1 = table.sigma(1) % modulus
     s3 = table.sigma(3) % modulus

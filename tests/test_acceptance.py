@@ -23,6 +23,7 @@ from lucanomial import (
     verify_ljunggren,
     verify_sum_lemmas,
 )
+from lucanomial.binomial import rank_path
 
 GRID = [LucasParams(P, Q) for P in range(-5, 6) for Q in range(-5, 6) if Q != 0]
 FIB = LucasParams(1, -1)
@@ -179,7 +180,7 @@ def test_criterion_10_oracle_equivalence(capsys):
         eligible = []
         for params in GRID:
             for p in (5, 7, 11, 13, 17, 19, 23):
-                if (2 * params.Q * params.D) % p != 0:
+                if rank_path(params, p):
                     eligible.append((params, p))
         for _ in range(500):
             params, p = rng.choice(eligible)

@@ -23,7 +23,7 @@ from lucanomial import (
     rank_of_appearance,
     zero_cancellations,
 )
-from lucanomial.binomial import _convention_quotient
+from lucanomial.binomial import _convention_quotient, rank_path
 
 
 def oracle_lucanomial(P, Q, m, n):
@@ -205,7 +205,7 @@ def test_rank_and_exact_paths_agree(P, Q):
     params = LucasParams(P, Q)
     rng = random.Random(20240 + P * 10 + Q)
     for p in (5, 7, 11, 13):
-        if (2 * params.Q * params.D) % p == 0:
+        if not rank_path(params, p):
             continue
         for _ in range(12):
             m = rng.randint(0, 90)
@@ -219,11 +219,11 @@ def test_rank_and_exact_paths_agree(P, Q):
 @st.composite
 def cell_queries(draw):
     """A Cell over |P| <= 6, 1 <= |Q| <= 6 (degenerate pairs included) at a
-    prime 5 <= p <= 113 with p coprime to 2QD, and (m, n, j) queries to it."""
+    prime 5 <= p <= 113 on the rank path, and (m, n, j) queries to it."""
     P = draw(st.integers(-6, 6))
     Q = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
     params = LucasParams(P, Q)
-    primes = [p for p in primes_in_range(5, 113) if (2 * Q * params.D) % p]
+    primes = [p for p in primes_in_range(5, 113) if rank_path(params, p)]
     assume(primes)
     p = draw(st.sampled_from(primes))
     rho = rank_of_appearance(params, p).rho
@@ -272,11 +272,10 @@ def symmetry_queries(draw):
     params = LucasParams(P, Q)
     p = draw(st.sampled_from([p for p in primes_in_range(3, 113) if Q % p]))
     rho = rank_of_appearance(params, p).rho
-    rank_path = (2 * Q * params.D) % p != 0
-    m = draw(st.integers(0, (6 if rank_path else 3) * rho))
+    m = draw(st.integers(0, (6 if rank_path(params, p) else 3) * rho))
     n = draw(st.integers(0, m))
     k = draw(st.integers(1, 6))
-    return params, p, m, n, k, rank_path
+    return params, p, m, n, k
 
 
 @settings(
@@ -287,8 +286,8 @@ def symmetry_queries(draw):
 )
 @given(symmetry_queries())
 def test_symmetry_mod_prime_powers(case):
-    params, p, m, n, k, rank_path = case
-    if rank_path:
+    params, p, m, n, k = case
+    if rank_path(params, p):
         cell = Cell(params, p, m, k)
         lhs, rhs = cell.residue(m, n, k), cell.residue(m, m - n, k)
     else:
@@ -323,7 +322,7 @@ def test_high_valuation_case_keeps_unit():
     # binom(5p, p) over U(1,2): ordinary-binomial analogue has positive valuation
     params = LucasParams(1, 2)
     p = 11
-    if (2 * params.Q * params.D) % p != 0:
+    if rank_path(params, p):
         fast = lucanomial_residue(params, 5 * 11, 11, p, 3, method="rank")
         slow = lucanomial_residue(params, 5 * 11, 11, p, 3, method="exact")
         assert fast == slow

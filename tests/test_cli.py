@@ -19,6 +19,7 @@ from lucanomial import (
     THEOREM_IDS,
     CongruenceReport,
     LucasParams,
+    primes_in_range,
     rank_of_appearance,
     sweep,
     verify_sum_lemmas,
@@ -308,6 +309,47 @@ def test_emitter_peak_does_not_grow_with_the_report(tmp_path):
         assert out.stat().st_size == stdout.size
         assert peak < bound, (count, peak)
         assert [r["i"] for r in json.loads(out.read_text())["records"]] == list(range(count))
+
+
+def _recorded_sweep(monkeypatch, argv):
+    """The worker and the tasks that `main(argv)` hands the pool, which checks
+    no cell; and the traced peak of the run."""
+    handed = []
+
+    def record(worker, tasks, jobs):
+        handed.append((worker, tasks))
+        return iter(())
+
+    monkeypatch.setattr(cli, "_map_cells", record)
+    tracemalloc.start()
+    try:
+        assert main(argv.split()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    [(worker, tasks)] = handed
+    return worker, tasks, peak
+
+
+def test_sweep_holds_no_task_per_cell(monkeypatch):
+    # A sweep's tasks are its cell numbers: the parent holds the (P, Q) list
+    # and one prime list, not a task for each of the quarter million cells.
+    for argv, cells in (
+        ("lemmas --grid 5,5 --pmax 20000", 248_490),
+        ("verify --grid 5,5 --pmax 20000", 248_600),
+    ):
+        _, tasks, peak = _recorded_sweep(monkeypatch, argv)
+        assert len(tasks) == cells, argv
+        assert peak < 1_000_000, (argv, peak)
+
+
+def test_sweep_cells_go_each_pair_then_each_prime(monkeypatch):
+    grid = [LucasParams(P, Q) for P in range(-2, 3) for Q in range(-2, 3) if Q]
+    for command, cell, pmin in (("verify", "_verify_cell", 5), ("lemmas", "_lemma_cell", 7)):
+        monkeypatch.setattr(cli, cell, lambda params, p, *rest: (params, p))
+        worker, tasks, _ = _recorded_sweep(monkeypatch, f"{command} --grid 2,2 --pmax 60")
+        expected = [(params, p) for params in grid for p in primes_in_range(pmin, 60)]
+        assert [worker(i) for i in tasks] == expected, command
 
 
 def test_sweep_that_dies_midway_writes_nothing(tmp_path, capsys):

@@ -25,8 +25,6 @@ __all__ = [
     "lucanomial_exact",
     "lucanomial_residue",
     "zero_cancellations",
-    "rank_path",
-    "integrality_sweep",
 ]
 
 
@@ -296,15 +294,3 @@ def lucanomial_residue(
     if method == "exact":
         return ValuedResidue.from_integer(lucanomial_exact(params, m, n), p, k)
     return Cell(params, p, m, k).residue(m, n, k)  # Cell refuses p off the rank path
-
-
-def integrality_sweep(params: LucasParams, m_max: int) -> bool:
-    """True iff binom(m, n)_U is a well-defined integer for all 0 <= n <= m <= m_max."""
-    us = list(islice(u_walk(params.P, params.Q), m_max + 1))
-    for m in range(m_max + 1):
-        for n in range(m + 1):
-            try:
-                generalized_binomial(us, m, n)
-            except (NonIntegralError, ConventionViolation):
-                return False
-    return True

@@ -407,6 +407,8 @@ def _run_search(args, parser) -> int:
         for params in params_list
         for info in maximal_ranks(params, args.pmin, args.pmax, args.exponents)
     ]
+    # The prime-power exponents past rho's own, each shown as one more field.
+    higher = range(2, args.exponents + 1)
     if args.format == "json":
         payload = [
             {
@@ -424,13 +426,20 @@ def _run_search(args, parser) -> int:
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["P", "Q", "p", "rho", "epsilon", "maximal"])
+        writer.writerow(
+            ["P", "Q", "p", "rho", "epsilon", "maximal"] + [f"rho_p{a}" for a in higher]
+        )
         for params, info in rows:
-            writer.writerow([params.P, params.Q, info.p, info.rho, info.epsilon, info.maximal])
+            writer.writerow(
+                [params.P, params.Q, info.p, info.rho, info.epsilon, info.maximal]
+                + [info.rho_prime_power[a] for a in higher]
+            )
         text = buf.getvalue()
     else:
         text = "".join(
-            f"P={params.P} Q={params.Q} p={info.p} rho={info.rho} eps={info.epsilon} maximal\n"
+            f"P={params.P} Q={params.Q} p={info.p} rho={info.rho} eps={info.epsilon} maximal"
+            + "".join(f" rho(p^{a})={info.rho_prime_power[a]}" for a in higher)
+            + "\n"
             for params, info in rows
         ) + f"found={len(rows)}\n"
     _write(io.StringIO(text), args.out, parser)

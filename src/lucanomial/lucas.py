@@ -5,17 +5,7 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
-__all__ = [
-    "LucasParams",
-    "LucasTerm",
-    "u_walk",
-    "lucas_term",
-    "lucas_range",
-    "lucas_uv_mod",
-    "uv_sequence",
-    "check_identities",
-    "check_identities_upto",
-]
+__all__ = ["LucasParams", "LucasTerm", "lucas_term", "lucas_uv_mod"]
 
 
 class _LucasFields(NamedTuple):
@@ -121,12 +111,6 @@ def lucas_term(params: LucasParams, n: int) -> LucasTerm:
     return LucasTerm(n, u, v)
 
 
-def lucas_range(params: LucasParams, n_max: int) -> list[LucasTerm]:
-    """Terms 0..n_max computed by the plain three-term recurrence."""
-    us, vs = uv_sequence(params, n_max)
-    return [LucasTerm(i, u, v) for i, (u, v) in enumerate(zip(us, vs))]
-
-
 def lucas_uv_mod(params: LucasParams, n: int, modulus: int) -> tuple[int, int]:
     """(U_n mod modulus, V_n mod modulus) for an odd modulus >= 3."""
     if n < 0:
@@ -158,53 +142,3 @@ def uv_sequence(params: LucasParams, n_max: int) -> tuple[list[int], list[int]]:
     P = params.P
     us = list(islice(u_walk(P, params.Q), n_max + 2))
     return us[:-1], [2 * u1 - P * u for u, u1 in zip(us, us[1:])]
-
-
-def check_identities(params: LucasParams, s: int, t: int) -> bool:
-    """True iff the six classical addition/doubling/subtraction identities hold
-    exactly at indices (s, t):
-
-        2 U_{s+t} = U_s V_t + U_t V_s          2 V_{s+t} = V_s V_t + D U_s U_t
-        V_t^2 - D U_t^2 = 4 Q^t                U_{2t} = U_t V_t
-        V_{2t} = V_t^2 - 2 Q^t                 2 Q^t U_{s-t} = U_s V_t - U_t V_s
-
-    Requires s >= t >= 0.
-    """
-    if t < 0 or s < t:
-        raise ValueError("need s >= t >= 0")
-    us, vs = uv_sequence(params, s + t)
-    D, qt = params.D, params.Q**t
-    a, b = us[s] * vs[t], us[t] * vs[s]
-    return (
-        2 * us[s + t] == a + b
-        and 2 * vs[s + t] == vs[s] * vs[t] + D * us[s] * us[t]
-        and vs[t] ** 2 - D * us[t] ** 2 == 4 * qt
-        and us[2 * t] == us[t] * vs[t]
-        and vs[2 * t] == vs[t] ** 2 - 2 * qt
-        and 2 * qt * us[s - t] == a - b
-    )
-
-
-def check_identities_upto(params: LucasParams, s_max: int) -> bool:
-    """Batched check_identities over all 0 <= t <= s <= s_max."""
-    us, vs = uv_sequence(params, 2 * s_max)
-    D, Q = params.D, params.Q
-    qpow = [1]
-    for _ in range(s_max):
-        qpow.append(qpow[-1] * Q)
-    for t in range(s_max + 1):
-        qt = qpow[t]
-        if vs[t] ** 2 - D * us[t] ** 2 != 4 * qt:
-            return False
-        if us[2 * t] != us[t] * vs[t] or vs[2 * t] != vs[t] ** 2 - 2 * qt:
-            return False
-        ut, vt = us[t], vs[t]
-        for s in range(t, s_max + 1):
-            a, b = us[s] * vt, ut * vs[s]
-            if 2 * us[s + t] != a + b:
-                return False
-            if 2 * vs[s + t] != vs[s] * vt + D * us[s] * ut:
-                return False
-            if 2 * qt * us[s - t] != a - b:
-                return False
-    return True

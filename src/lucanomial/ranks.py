@@ -16,9 +16,6 @@ __all__ = [
     "primes_in_range",
     "legendre",
     "rank_of_appearance",
-    "rank_ladder",
-    "euler_criterion_check",
-    "maximal_ranks",
 ]
 
 
@@ -156,20 +153,6 @@ def rank_ladder(params: LucasParams, p: int, index_limit: int) -> list[int]:
         ladder.append(_prime_power_rank(params, p, a, ladder[-1]))
         a += 1
     return ladder
-
-
-def euler_criterion_check(params: LucasParams, p: int) -> bool:
-    """Self-test of the rank machinery: p | U_{(p-eps)/2} iff Q is a square mod p.
-
-    Requires p coprime to 2*D*Q.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if (2 * params.D * params.Q) % p == 0:
-        raise ValueError("requires p coprime to 2DQ")
-    epsilon = legendre(params.D, p)
-    u, _ = lucas_uv_mod(params, (p - epsilon) // 2, p)
-    return (u == 0) == (legendre(params.Q, p) == 1)
 
 
 def maximal_ranks(

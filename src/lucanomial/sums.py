@@ -22,7 +22,6 @@ from .reports import CongruenceReport
 
 __all__ = [
     "SumsTable",
-    "MONOMIAL_KEYS",
     "compute_sums",
     "monomial_sum_direct",
     "verify_power_sums",

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .binomial import Cell, generalized_binomial, lucanomial_residue, zero_cancellations
+from .binomial import Cell, generalized_binomial, lucanomial_residue, rank_path, zero_cancellations
 from .lucas import LucasParams, lucas_term, lucas_uv_mod, u_walk
 from .ranks import NonMaximalRankError, RankInfo, maximal_ranks, rank_of_appearance
 from .reports import CongruenceReport
@@ -44,15 +44,15 @@ class _Context:
 
     @cached_property
     def cell(self) -> Cell | None:
-        """One residue context for every case, or None where Cell refuses p
-        (p off `rank_path`: the cases take the exact path) or fails (each
-        case then meets the failure on its own and reports it)."""
+        """One residue context for every case, or None for p off `rank_path`,
+        where the cases take the exact path.  A Cell that fails to build
+        raises here, so the error lands in the report of each case that
+        needs it."""
+        if not rank_path(self.params, self.rank.p):
+            return None
         # N reaches m = (k+1) rho - 1 and its base case 2 rho - 1; LjWe m = k rho.
         m_max = (max(self.kmax, 1) + 1) * self.rank.rho - 1
-        try:
-            return Cell(self.params, self.rank.p, m_max, self.exponent)
-        except Exception:
-            return None
+        return Cell(self.params, self.rank.p, m_max, self.exponent)
 
     @cached_property
     def central(self) -> int:

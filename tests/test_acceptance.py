@@ -12,11 +12,8 @@ from math import comb
 
 from lucanomial import (
     LucasParams,
-    check_identities_upto,
-    integrality_sweep,
     lucanomial_exact,
     lucanomial_residue,
-    lucas_range,
     primes_in_range,
     rank_of_appearance,
     sweep,
@@ -24,6 +21,8 @@ from lucanomial import (
     verify_sum_lemmas,
 )
 from lucanomial.binomial import rank_path
+from lucanomial.lucas import uv_sequence
+from oracles import check_identities_upto, integrality_sweep
 
 GRID = [LucasParams(P, Q) for P in range(-5, 6) for Q in range(-5, 6) if Q != 0]
 FIB = LucasParams(1, -1)
@@ -55,7 +54,7 @@ def test_criterion_01_worked_equality_case(capsys):
 
 def test_criterion_02_fibonacci_central_case(capsys):
     def body():
-        fib = [t.U for t in lucas_range(FIB, 9)]
+        fib = uv_sequence(FIB, 9)[0]
         oracle = Fraction(fib[9] * fib[8] * fib[7] * fib[6], fib[4] * fib[3] * fib[2] * fib[1])
         assert oracle == 12376
         assert lucanomial_exact(FIB, 9, 4) == 12376
@@ -192,11 +191,11 @@ def test_criterion_10_oracle_equivalence(capsys):
             slow = lucanomial_residue(params, m, n, p, k, method="exact")
             assert fast == slow, (params, m, n, p, k)
         for params in GRID:
-            terms = lucas_range(params, 202)
+            us = uv_sequence(params, 202)[0]
             for p in primes_in_range(3, 200):
                 if params.Q % p == 0:
                     continue
-                naive = next(t.n for t in terms[1:] if t.U % p == 0)
+                naive = next(n for n in range(1, 203) if us[n] % p == 0)
                 assert rank_of_appearance(params, p).rho == naive, (params, p)
 
     with capsys.disabled():

@@ -15,15 +15,15 @@ from lucanomial import (
     NoRankError,
     ValuedResidue,
     generalized_binomial,
-    integrality_sweep,
     lucanomial_exact,
     lucanomial_residue,
-    lucas_range,
     primes_in_range,
     rank_of_appearance,
     zero_cancellations,
 )
 from lucanomial.binomial import _convention_quotient, rank_path
+from lucanomial.lucas import uv_sequence
+from oracles import integrality_sweep
 
 
 def oracle_lucanomial(P, Q, m, n):
@@ -33,7 +33,7 @@ def oracle_lucanomial(P, Q, m, n):
         return 1
     if m < n:
         return 0
-    us = [t.U for t in lucas_range(LucasParams(P, Q), m)]
+    us = uv_sequence(LucasParams(P, Q), m)[0]
     num = [us[m - i] for i in range(n)]
     den = [us[i] for i in range(1, n + 1)]
     while 0 in num and 0 in den:
@@ -95,7 +95,7 @@ def test_addition_recurrence_nondegenerate():
     # step behind integrality; relies on U_{n+1} U_{m-n} - Q U_n U_{m-n-1} = U_m.
     for P, Q in [(1, -1), (2, 1), (3, 5), (-3, -2)]:
         params = LucasParams(P, Q)
-        us = [t.U for t in lucas_range(params, 61)]
+        us = uv_sequence(params, 61)[0]
         for m in range(2, 30):
             for n in range(1, m):
                 assert us[n + 1] * us[m - n] - Q * us[n] * us[m - n - 1] == us[m]
@@ -123,7 +123,7 @@ def test_exact_diagonal_is_one():
             if Q == 0:
                 continue
             params = LucasParams(P, Q)
-            us = [t.U for t in lucas_range(params, 60)]
+            us = uv_sequence(params, 60)[0]
             for m in range(1, 61):
                 factors = us[1 : m + 1]
                 assert lucanomial_exact(params, m, m) == _convention_quotient(

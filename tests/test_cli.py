@@ -646,6 +646,35 @@ def test_search_lists_maximal_primes(capsys):
     assert "p=3 rho=4" in text and "p=2 " not in text and "found=6" in text
 
 
+@pytest.mark.parametrize("exponents", [1, 3])
+def test_search_shows_prime_power_ranks_in_every_format(exponents, capsys):
+    # JSON's rho_prime_power is the reference; at one exponent the text and
+    # CSV have no prime-power field.
+    higher = [str(a) for a in range(2, exponents + 1)]
+    args = ["search", "--grid", "1,1", "--pmax", "30", "--exponents", str(exponents), "--format"]
+    assert main(args + ["json"]) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    fib5 = next(r for r in records if (r["P"], r["Q"], r["p"]) == (1, -1, 5))
+    assert fib5["rho_prime_power"] == {a: 5 ** int(a) for a in ["1"] + higher}
+    expected = [
+        [r["P"], r["Q"], r["p"], r["rho"], r["epsilon"], r["maximal"]]
+        + [r["rho_prime_power"][a] for a in higher]
+        for r in records
+    ]
+    assert main(args + ["csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["P", "Q", "p", "rho", "epsilon", "maximal"] + [f"rho_p{a}" for a in higher]
+    assert rows[1:] == [[str(x) for x in row] for row in expected]
+    assert main(args + ["text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == f"found={len(records)}"
+    assert lines[:-1] == [
+        f"P={P} Q={Q} p={p} rho={rho} eps={eps} maximal"
+        + "".join(f" rho(p^{a})={r}" for a, r in zip(higher, ranks))
+        for P, Q, p, rho, eps, _, *ranks in expected
+    ]
+
+
 def test_empty_text_search_prints_the_count_alone(capsys):
     # No maximal-rank prime lies in [14, 16] for Fibonacci: no blank line either.
     assert main(["search", "--P", "1", "--Q", "-1", "--pmin", "14", "--pmax", "16"]) == 0

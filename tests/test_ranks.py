@@ -7,25 +7,22 @@ import pytest
 from lucanomial import (
     LucasParams,
     NoRankError,
-    euler_criterion_check,
     is_prime,
     legendre,
-    lucas_range,
     lucas_uv_mod,
     primes_in_range,
     rank_of_appearance,
 )
 from lucanomial.lucas import uv_sequence
 from lucanomial.ranks import maximal_ranks, rank_ladder
+from oracles import euler_criterion_check
 
 
 def naive_rank(params, p, limit=None):
     """Oracle: first positive index whose exact term is divisible by p."""
     limit = limit or p + 1
-    for term in lucas_range(params, limit)[1:]:
-        if term.U % p == 0:
-            return term.n
-    return None
+    us = uv_sequence(params, limit)[0]
+    return next((n for n in range(1, limit + 1) if us[n] % p == 0), None)
 
 
 def test_is_prime_matches_trial_division():
@@ -153,7 +150,7 @@ def test_prime_power_ranks_characterize_divisibility(P, Q):
         if params.Q % p == 0:
             continue
         info = rank_of_appearance(params, p, exponents=3)
-        us = [t.U for t in lucas_range(params, 3 * info.rho_prime_power[3])]
+        us = uv_sequence(params, 3 * info.rho_prime_power[3])[0]
         for a in (1, 2, 3):
             rho_a = info.rho_prime_power[a]
             assert rho_a % info.rho == 0

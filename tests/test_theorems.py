@@ -284,12 +284,12 @@ def test_sweep_fibonacci_all_hold():
 
 
 def test_sweep_restricts_to_maximal_primes():
-    from lucanomial import legendre, lucas_range, primes_in_range
+    from lucanomial import legendre, primes_in_range
 
-    terms = lucas_range(FIB, 52)
+    us = uv_sequence(FIB, 52)[0]
     expected = []
     for p in primes_in_range(7, 50):
-        naive_rho = next(t.n for t in terms[1:] if t.U % p == 0)
+        naive_rho = next(n for n in range(1, 53) if us[n] % p == 0)
         if naive_rho == p - legendre(5, p):
             expected.append(p)
     assert expected == [7, 11, 19, 23, 31, 43]  # e.g. 13, 29, 41, 47 have small rank
@@ -371,10 +371,22 @@ def test_sweep_reports_each_case_when_the_cell_fails(monkeypatch):
     assert [(r.theorem_id, r.inputs) for r in reports] == [
         (r.theorem_id, r.inputs) for r in expected
     ]
-    # LjWe with l = 0 has n = 0 and needs no ladder; every other case reports the failure.
-    failed = [r for r in reports if not r.holds]
-    assert failed and all("no ladder" in r.error for r in failed)
-    assert all(r.theorem_id == "LjWe" and r.inputs["l"] == 0 for r in reports if r.holds)
+    # Every case reads the cell's Cell, so every case reports the failure.
+    assert all(not r.holds and "no ladder" in r.error for r in reports)
+
+
+def test_sweep_reports_a_cell_that_fails_to_build(monkeypatch):
+    # A Cell that raises is not taken for p off the rank path: no case falls
+    # back to a one-shot Cell of its own, and each one reports the error.
+    import lucanomial.theorems
+
+    def broken_cell(*args):
+        raise ArithmeticError("no cell")
+
+    monkeypatch.setattr(lucanomial.theorems, "Cell", broken_cell)
+    reports = sweep([FIB], (11, 11), ("N", "LjWe", "P5_1", "P6"), [1, 2], [1])
+    assert [r.theorem_id for r in reports] == ["N", "N", "LjWe", "LjWe", "P5_1", "P6"]
+    assert all(not r.holds and "no cell" in r.error for r in reports)
 
 
 def test_fifth_power_error_record_names_its_variant(monkeypatch):

@@ -14,7 +14,7 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from .lucas import LucasParams, u_walk, uv_sequence
-from .ranks import NoRankError, is_prime, rank_ladder
+from .ranks import rank_ladder, require_prime
 
 __all__ = [
     "NonIntegralError",
@@ -153,14 +153,15 @@ def lucanomial_exact(params: LucasParams, m: int, n: int) -> int:
     return generalized_binomial(uv_sequence(params, m)[0], m, n)
 
 
+def _zero_terms(params: LucasParams, m: int, n: int) -> tuple[int, int]:
+    """How many zero terms of U stand above and below the bar of binom(m, n)_U."""
+    zp = params.zero_period
+    return (m // zp - (m - n) // zp, n // zp) if zp else (0, 0)
+
+
 def zero_cancellations(params: LucasParams, m: int, n: int) -> int:
     """Number of zero pairs that cancel as 1 inside binom(m, n)_U."""
-    zp = params.zero_period
-    if zp is None or n == 0 or m < n:
-        return 0
-    above = m // zp - (m - n) // zp
-    below = n // zp
-    return min(above, below)
+    return min(_zero_terms(params, m, n)) if m >= n else 0
 
 
 def rank_path(params: LucasParams, p: int) -> bool:
@@ -187,8 +188,7 @@ class Cell:
     def __init__(self, params: LucasParams, p: int, m_max: int, k: int) -> None:
         if k < 1:
             raise ValueError("precision k must be positive")
-        if p == 2 or not is_prime(p):
-            raise ValueError("p must be an odd prime")
+        require_prime(params, p)
         if not rank_path(params, p):
             raise ValueError(f"p = {p} is off the rank path of U({params.P}, {params.Q})")
         if m_max < 0:
@@ -232,13 +232,11 @@ class Cell:
             return ValuedResidue.exact_zero(p, j)
         if m > self.m_max:
             raise ValueError(f"index {m} beyond the cell's m_max = {self.m_max}")
-        zp = self.params.zero_period
-        if zp is not None:
-            above, below = m // zp - (m - n) // zp, n // zp
-            if below > above:
-                raise ConventionViolation("zero factors left in the denominator")
-            if above > below:
-                return ValuedResidue.exact_zero(p, j)
+        above, below = _zero_terms(self.params, m, n)
+        if below > above:
+            raise ConventionViolation("zero factors left in the denominator")
+        if above > below:
+            return ValuedResidue.exact_zero(p, j)
         prefix, vsum = self._prefix, self._vsum
         v = vsum[m] - vsum[m - n] - vsum[n]
         if v < 0:
@@ -265,32 +263,18 @@ def lucanomial_residue(
     by a one-shot Cell.  The "exact" path builds the integer value and
     strips powers of p; it works for any odd prime p not dividing Q.  "auto"
     picks the rank path whenever it is allowed.  Both paths agree exactly.
+    A Cell, given or one-shot, checks p, k and the indices of the rank path.
     """
+    if method not in ("auto", "rank", "exact"):
+        raise ValueError(f"unknown method {method!r}")
     if cell is not None and method != "exact":
-        # The cell proved p an odd prime on the rank path when it was built, and
-        # its residue checks k and the indices: only its identity is left.
-        if method not in ("auto", "rank"):
-            raise ValueError(f"unknown method {method!r}")
         if cell.p != p or cell.params != params:
             raise ValueError("cell belongs to another (P, Q, p)")
         return cell.residue(m, n, k)
-    if k < 1:
-        raise ValueError("precision k must be positive")
-    if p == 2 or not is_prime(p):
-        raise ValueError("p must be an odd prime")
-    if params.Q % p == 0:
-        raise NoRankError(f"{p} divides Q = {params.Q}")
-    if m < 0 or n < 0:
-        raise ValueError("indices must be nonnegative")
-    if method not in ("auto", "rank", "exact"):
-        raise ValueError(f"unknown method {method!r}")
-    pk = p**k
-    if n == 0:
-        return ValuedResidue(p, k, 0, 1 % pk)
-    if m < n:
-        return ValuedResidue.exact_zero(p, k)
-    if method == "auto":
-        method = "rank" if rank_path(params, p) else "exact"
-    if method == "exact":
-        return ValuedResidue.from_integer(lucanomial_exact(params, m, n), p, k)
-    return Cell(params, p, m, k).residue(m, n, k)  # Cell refuses p off the rank path
+    if method != "rank":
+        require_prime(params, p)  # before rank_path, which divides by p
+        if method == "exact" or not rank_path(params, p):
+            if k < 1:
+                raise ValueError("precision k must be positive")
+            return ValuedResidue.from_integer(lucanomial_exact(params, m, n), p, k)
+    return Cell(params, p, m, k).residue(m, n, k)

@@ -20,7 +20,7 @@ import random
 import shutil
 import sys
 import tempfile
-from typing import Iterator, NoReturn
+from typing import Callable, Iterator, NoReturn
 
 from .binomial import lucanomial_residue, rank_path
 from .lucas import LucasParams
@@ -61,8 +61,6 @@ def _params_list(args, parser) -> list[LucasParams]:
         ]
     if args.P is None or args.Q is None:
         parser.error("either --P and --Q or --grid is required")
-    if args.Q == 0:
-        parser.error("Q must be nonzero")
     return [LucasParams(args.P, args.Q)]
 
 
@@ -117,7 +115,7 @@ def _map_cells(worker, tasks, jobs) -> Iterator:
         try:
             spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(workers)]
         except OSError as exc:
-            _spool_failed(exc.strerror or exc)
+            _fail(f"cannot spool the report: {exc.strerror or exc}")
         # What is still buffered would otherwise be written by every child too.
         sys.stdout.flush()
         sys.stderr.flush()
@@ -143,7 +141,8 @@ def _map_cells(worker, tasks, jobs) -> Iterator:
             del pids[0]
             if code == 2:
                 # Each worker whose spool failed sent one line; report the first.
-                _spool_failed(reasons.read(4096).decode().partition("\n")[0])
+                reason = reasons.read(4096).decode().partition("\n")[0]
+                _fail(f"cannot spool the report: {reason}")
             if code:
                 raise RuntimeError(f"a sweep worker exited with status {code}")
         try:
@@ -157,7 +156,7 @@ def _map_cells(worker, tasks, jobs) -> Iterator:
                 ahead[i] = spools[i].read(4)
                 yield from cells
         except OSError as exc:
-            _spool_failed(exc.strerror or exc)
+            _fail(f"cannot spool the report: {exc.strerror or exc}")
 
 
 def _pipe(stack: contextlib.ExitStack) -> tuple:
@@ -233,22 +232,16 @@ def _cross_check_reports(params_list, p_min, p_max, count, seed) -> Iterator[Con
 _PROG = "lucanomial"
 
 
-def _fail(parser, message: str) -> NoReturn:
+def _fail(message: str) -> NoReturn:
     """Exit 2 with a one-line message: a usage or IO failure, not a counterexample."""
-    parser.exit(2, f"{parser.prog}: error: {message}\n")
-
-
-def _spool_failed(reason) -> NoReturn:
-    """Exit 2 as _fail does, for a spool that could not be made, written or
-    read (a full TMPDIR, say), where no parser is at hand."""
-    sys.stderr.write(f"{_PROG}: error: cannot spool the report: {reason}\n")
+    sys.stderr.write(f"{_PROG}: error: {message}\n")
     sys.exit(2)
 
 
 _CHUNK = 64 * 1024
 
 
-def _write(report, out_path, parser) -> None:
+def _write(report, out_path) -> None:
     """Copy the readable text stream `report` to stdout or to `out_path`,
     which is opened only now, in chunks through the destination's own write,
     so no more than one chunk of the report is held.  A reader that closes
@@ -263,13 +256,13 @@ def _write(report, out_path, parser) -> None:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            _fail(parser, f"cannot write to stdout: {exc.strerror or exc}")
+            _fail(f"cannot write to stdout: {exc.strerror or exc}")
         return
     try:
         with open(out_path, "w") as fh:
             shutil.copyfileobj(report, fh, _CHUNK)
     except OSError as exc:
-        _fail(parser, f"cannot write {out_path}: {exc.strerror or exc}")
+        _fail(f"cannot write {out_path}: {exc.strerror or exc}")
 
 
 # A list of flat records in the layout json.dumps(..., indent=2) gives it
@@ -324,7 +317,7 @@ def _text_lines(reports) -> str:
     return "".join(lines)
 
 
-def _emit_records(batches, fmt, out_path, parser) -> tuple[int, int]:
+def _emit_records(batches, fmt, out_path) -> tuple[int, int]:
     """Spool the header, each rendered batch as it arrives (empty ones are
     None and skipped), then the footer or the totals, to an unnamed temporary
     file, and copy it to the destination only once every batch is in, so a
@@ -337,7 +330,7 @@ def _emit_records(batches, fmt, out_path, parser) -> tuple[int, int]:
         try:
             return op(*args, **kwargs)
         except OSError as exc:
-            _spool_failed(exc.strerror or exc)
+            _fail(f"cannot spool the report: {exc.strerror or exc}")
 
     # newline="" keeps the csv module's "\r\n" row ends as they are.
     with spooled(tempfile.TemporaryFile, "w+", encoding="utf-8", newline="") as spool:
@@ -366,20 +359,19 @@ def _emit_records(batches, fmt, out_path, parser) -> tuple[int, int]:
         elif fmt == "text":
             put(f"checked={checked} hold={held} failed={checked - held}\n")
         spooled(spool.seek, 0)  # flushes what the spool still buffers
-        _write(spool, out_path, parser)
+        _write(spool, out_path)
     return checked, held
 
 
-def _finish(batches, args, parser) -> int:
+def _finish(batches, args) -> int:
     """Emit a sweep's rendered batches; exit code 0 when every check held, else 1."""
-    checked, held = _emit_records(batches, args.format, args.out, parser)
+    checked, held = _emit_records(batches, args.format, args.out)
     if args.format != "text" or args.out:
         print(f"checked={checked} hold={held} failed={checked - held}", file=sys.stderr)
     return 0 if held == checked else 1
 
 
-def _run_verify(args, parser) -> int:
-    params_list = _params_list(args, parser)
+def _run_verify(args, params_list) -> int:
     theorems = _expand_theorems(args.theorem or ["all"])
     ks = tuple(range(args.kmax + 1))
     lmax = args.kmax if args.lmax is None else args.lmax
@@ -395,13 +387,10 @@ def _run_verify(args, parser) -> int:
             params_list, args.pmin, args.pmax, args.cross_check, args.seed
         )
         batches = itertools.chain(batches, map(_render, [oracle], [args.format]))
-    return _finish(batches, args, parser)
+    return _finish(batches, args)
 
 
-def _run_search(args, parser) -> int:
-    params_list = _params_list(args, parser)
-    if args.exponents < 1:
-        _fail(parser, "--exponents must be positive")
+def _run_search(args, params_list) -> int:
     rows = [
         (params, info)
         for params in params_list
@@ -442,29 +431,23 @@ def _run_search(args, parser) -> int:
             + "\n"
             for params, info in rows
         ) + f"found={len(rows)}\n"
-    _write(io.StringIO(text), args.out, parser)
+    _write(io.StringIO(text), args.out)
     return 0
 
 
-def _run_lemmas(args, parser) -> int:
-    params_list = _params_list(args, parser)
+def _run_lemmas(args, params_list) -> int:
     primes = primes_in_range(max(args.pmin, LEMMA_MIN_P), args.pmax)
     worker = functools.partial(_cell_at, _lemma_cell, params_list, primes, (args.format,))
     batches = _map_cells(worker, range(len(params_list) * len(primes)), args.jobs)
-    return _finish(batches, args, parser)
+    return _finish(batches, args)
 
 
-def _run_table(args, parser) -> int:
-    params_list = _params_list(args, parser)
-    if len(params_list) != 1:
-        parser.error("table needs a single --P/--Q pair")
-    params = params_list[0]
-    if args.precision < 1:
-        _fail(parser, "--precision must be positive")
+def _run_table(args) -> int:
+    params = LucasParams(args.P, args.Q)
     try:
         rank = rank_of_appearance(params, args.p)
     except ValueError as exc:  # p not an odd prime, or p divides Q
-        _fail(parser, f"--p {args.p}: {exc}")
+        _fail(f"--p {args.p}: {exc}")
     table = compute_sums(params, rank, args.precision)
     entries = {f"S{nu}": table.power[nu] for nu in range(len(table.power))}
     entries.update(
@@ -490,7 +473,7 @@ def _run_table(args, parser) -> int:
     else:
         head = f"P={params.P} Q={params.Q} p={table.p} rho={table.rho} mod p^{table.k}\n"
         text = head + "".join(f"{k} = {v}\n" for k, v in entries.items())
-    _write(io.StringIO(text), args.out, parser)
+    _write(io.StringIO(text), args.out)
     return 0
 
 
@@ -499,6 +482,25 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _int_where(rule: str, ok: Callable[[int], bool]) -> Callable[[str], int]:
+    """An argparse type: an int for which ok(value) holds.  The parser reports
+    any other value as `argument --X: must be <rule>, not <value>`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {value}")
+        return value
+
+    parse.__name__ = "int"  # the parser names the type when int() refuses the text
+    return parse
+
+
+_NONZERO = _int_where("nonzero", bool)
+_NONNEGATIVE = _int_where(">= 0", (0).__le__)
+_POSITIVE = _int_where(">= 1", (1).__le__)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, pmin_default):
         sp.add_argument("--P", type=int, help="first recurrence parameter")
-        sp.add_argument("--Q", type=int, help="second recurrence parameter (nonzero)")
+        sp.add_argument("--Q", type=_NONZERO, help="second recurrence parameter (nonzero)")
         sp.add_argument(
             "--grid",
             help="sweep |P| <= PBOUND, 1 <= |Q| <= QBOUND instead of one pair: 'PBOUND,QBOUND'",
@@ -529,11 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=_THEOREM_CHOICES,
         help="theorem id to check (repeatable); default all",
     )
-    v.add_argument("--kmax", type=int, default=5)
-    v.add_argument("--lmax", type=int, default=None)
+    v.add_argument("--kmax", type=_NONNEGATIVE, default=5)
+    v.add_argument("--lmax", type=_NONNEGATIVE, default=None)
     v.add_argument(
         "--cross-check",
-        type=int,
+        type=_NONNEGATIVE,
         default=0,
         metavar="N",
         help="additionally run N seeded random fast-path vs exact-path residue comparisons",
@@ -541,19 +543,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("search", help="list maximal-rank primes with their ranks")
     common(s, 5)
-    s.add_argument("--exponents", type=int, default=1, help="prime-power ranks up to this exponent")
+    s.add_argument(
+        "--exponents", type=_POSITIVE, default=1, help="prime-power ranks up to this exponent"
+    )
 
     le = sub.add_parser("lemmas", help="run the tabulated-sum lemma suite")
     common(le, LEMMA_MIN_P)
     for sp in (v, le):  # the sweeps that fork workers
-        sp.add_argument("--jobs", type=int, default=_usable_cpus())
+        sp.add_argument("--jobs", type=_POSITIVE, default=_usable_cpus())
 
     t = sub.add_parser("table", help="print the sum table for one (P, Q, p)")
     t.add_argument("--P", type=int, required=True)
-    t.add_argument("--Q", type=int, required=True)
-    t.add_argument("--grid", help=argparse.SUPPRESS, default=None)
+    t.add_argument("--Q", type=_NONZERO, required=True)
     t.add_argument("--p", type=int, required=True)
-    t.add_argument("--precision", type=int, default=5)
+    t.add_argument("--precision", type=_POSITIVE, default=5)
     t.add_argument("--format", choices=("text", "json"), default="text")
     t.add_argument("--out")
     return parser
@@ -562,21 +565,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "table":
-        if args.pmin > args.pmax:
-            parser.error("need pmin <= pmax")
-        for name in ("kmax", "lmax", "cross_check"):
-            if (getattr(args, name, None) or 0) < 0:
-                parser.error(f"{name.replace('_', '-')} must be nonnegative")
-        if getattr(args, "jobs", 1) < 1:
-            parser.error("jobs must be positive")
-    if args.command == "verify":
-        return _run_verify(args, parser)
-    if args.command == "search":
-        return _run_search(args, parser)
-    if args.command == "lemmas":
-        return _run_lemmas(args, parser)
-    return _run_table(args, parser)
+    if args.command == "table":
+        return _run_table(args)
+    if args.pmin > args.pmax:
+        parser.error("need pmin <= pmax")
+    run = {"verify": _run_verify, "search": _run_search, "lemmas": _run_lemmas}[args.command]
+    return run(args, _params_list(args, parser))
 
 
 def entrypoint() -> None:

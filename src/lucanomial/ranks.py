@@ -78,6 +78,18 @@ def primes_in_range(lo: int, hi: int) -> list[int]:
     return list(itertools.compress(range(lo, hi + 1), sieve))
 
 
+def require_prime(params: LucasParams, p: int) -> None:
+    """Refuse p unless it is an odd prime not dividing Q, the primes the
+    package's congruences are stated for: ValueError for a p that is not
+    prime, then NoRankError where p divides Q, then ValueError for p = 2."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if params.Q % p == 0:
+        raise NoRankError(f"{p} divides Q = {params.Q}")
+    if p == 2:
+        raise ValueError("p must be odd")
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a | p) in {-1, 0, 1} by Euler's power criterion."""
     if p == 2 or not is_prime(p):
@@ -117,15 +129,10 @@ def _prime_power_rank(params: LucasParams, p: int, a: int, rho_prev: int) -> int
 def rank_of_appearance(params: LucasParams, p: int, exponents: int = 1) -> RankInfo:
     """Rank of p in U by direct scan of U_t mod p for t = 1, 2, ..., p+1.
 
-    Prime-power ranks are filled in for 1 <= a <= exponents.  Raises
-    NoRankError when p divides Q and ValueError when p is not an odd prime.
+    Prime-power ranks are filled in for 1 <= a <= exponents.  Refuses p as
+    `require_prime` does.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if params.Q % p == 0:
-        raise NoRankError(f"{p} divides Q = {params.Q}")
-    if p == 2:
-        raise ValueError("p must be odd")
+    require_prime(params, p)
     terms = itertools.islice(u_walk(params.P, params.Q, p), 1, p + 2)
     for rho, u in enumerate(terms, 1):
         if u == 0:

@@ -17,7 +17,7 @@ from itertools import combinations, islice, permutations
 from typing import NamedTuple, Sequence
 
 from .lucas import LucasParams, lucas_uv_mod, u_walk
-from .ranks import NonMaximalRankError, RankInfo
+from .ranks import NonMaximalRankError, RankInfo, require_prime
 from .reports import CongruenceReport
 
 __all__ = [
@@ -134,12 +134,10 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     Multi-index sums come from the power sums through exact symmetric-function
     relations; for p in {3, 5} the divisions those need are not all invertible
     and the table (rank <= p+1 <= 6 there) is enumerated directly instead.
+    Refuses the rank's p as `ranks.require_prime` does.
     """
     p, rho = rank.p, rank.rho
-    if p == 2:
-        raise ValueError("p must be odd")
-    if params.Q % p == 0:
-        raise ValueError("p must not divide Q")
+    require_prime(params, p)
     if k < 1:
         raise ValueError("precision k must be positive")
     modulus = p**k

@@ -32,6 +32,21 @@ __all__ = [
 ]
 
 
+class _once(cached_property):
+    """A part of a _Context, built on first use and kept, as cached_property
+    does; but a build that raises is kept too, in the context's `failed`, and
+    raised again, so a part that cannot be built is attempted once per cell,
+    not once per case."""
+
+    def __get__(self, context: _Context, owner: type | None = None):
+        if self.attrname not in context.failed:
+            try:
+                return super().__get__(context, owner)
+            except Exception as exc:
+                context.failed[self.attrname] = exc
+        raise context.failed[self.attrname]
+
+
 class _Context:
     """What the cases of one cell (params, p) share, each part built on first
     use inside the case that needs it, so a failure lands in that case's
@@ -41,20 +56,19 @@ class _Context:
 
     def __init__(self, params: LucasParams, rank: RankInfo, kmax: int, exponent: int) -> None:
         self.params, self.rank, self.kmax, self.exponent = params, rank, kmax, exponent
+        self.failed: dict[str, Exception] = {}
 
-    @cached_property
+    @_once
     def cell(self) -> Cell | None:
         """One residue context for every case, or None for p off `rank_path`,
-        where the cases take the exact path.  A Cell that fails to build
-        raises here, so the error lands in the report of each case that
-        needs it."""
+        where the cases take the exact path."""
         if not rank_path(self.params, self.rank.p):
             return None
         # N reaches m = (k+1) rho - 1 and its base case 2 rho - 1; LjWe m = k rho.
         m_max = (max(self.kmax, 1) + 1) * self.rank.rho - 1
         return Cell(self.params, self.rank.p, m_max, self.exponent)
 
-    @cached_property
+    @_once
     def central(self) -> int:
         """binom(2 rho - 1, rho - 1)_U mod p^exponent: N's base case and the
         left side of P5 and P6, each of which reduces it to its own modulus."""
@@ -62,11 +76,11 @@ class _Context:
         m, n = 2 * rho - 1, rho - 1
         return lucanomial_residue(self.params, m, n, p, self.exponent, cell=self.cell).residue()
 
-    @cached_property
+    @_once
     def blocks(self) -> list[int]:
         return _block_terms(self.params, self.rank.rho, self.kmax)
 
-    @cached_property
+    @_once
     def table(self) -> SumsTable:
         return compute_sums(self.params, self.rank, self.exponent)
 

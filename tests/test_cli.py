@@ -242,12 +242,11 @@ def test_emitter_escapes_like_the_oracle(tmp_path):
         )
         for i, error in enumerate(errors)
     ] + [CongruenceReport("P6", FIB, rank_of_appearance(FIB, 11), {}, 6, 0, 0, True)]
-    parser = build_parser()
     for fmt, oracle in ORACLES.items():
         out = tmp_path / f"report.{fmt}"
         # Two fragments, split at the cell boundary, with an empty batch between.
         batches = [_render(reports[:-1], fmt), _render([], fmt), _render(reports[-1:], fmt)]
-        assert _emit_records(iter(batches), fmt, str(out), parser) == (len(reports), 2)
+        assert _emit_records(iter(batches), fmt, str(out)) == (len(reports), 2)
         with open(out, newline="") as fh:
             assert fh.read() == oracle(reports), fmt
 
@@ -285,14 +284,13 @@ def test_emitter_peak_does_not_grow_with_the_report(tmp_path):
     # The report is spooled to a temporary file and copied out in chunks, so
     # the traced peak stays under one bound, a quarter of the smaller report,
     # whether the report is 4 MB or 16 MB.
-    parser = build_parser()
     bound = 1_000_000
 
     def traced_peak(count, out_path) -> int:
         tracemalloc.start()
         try:
             batches = _synthetic_batches(count, 4000)
-            assert _emit_records(batches, "json", out_path, parser) == (count, count)
+            assert _emit_records(batches, "json", out_path) == (count, count)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -360,13 +358,12 @@ def test_sweep_that_dies_midway_writes_nothing(tmp_path, capsys):
             yield _render(reports, fmt)
         raise RuntimeError("worker died")
 
-    parser = build_parser()
     out = tmp_path / "report.out"
     out.write_bytes(b"an earlier report\n")
     for fmt in ORACLES:
         for path in (str(out), None):
             with pytest.raises(RuntimeError, match="worker died"):
-                _emit_records(dying_batches(fmt), fmt, path, parser)
+                _emit_records(dying_batches(fmt), fmt, path)
     assert out.read_bytes() == b"an earlier report\n"
     assert capsys.readouterr().out == ""
 
@@ -716,6 +713,33 @@ def test_table_command(capsys):
     assert "S1 = 0" in text  # harmonic sum vanishes mod 49
     assert "S1,1,1,1,1" in text
     assert "SQ0" in text
+
+
+@pytest.mark.parametrize(
+    "argv, option, message",
+    [
+        ("verify --P 1 --Q -1 --pmax 20 --kmax -1", "--kmax", "must be >= 0, not -1"),
+        ("verify --P 1 --Q -1 --pmax 20 --lmax -2", "--lmax", "must be >= 0, not -2"),
+        ("verify --P 1 --Q -1 --pmax 20 --cross-check -3", "--cross-check", "must be >= 0, not -3"),
+        ("verify --P 1 --Q -1 --pmax 20 --jobs 0", "--jobs", "must be >= 1, not 0"),
+        ("lemmas --P 1 --Q -1 --pmax 20 --jobs -1", "--jobs", "must be >= 1, not -1"),
+        ("search --P 1 --Q -1 --pmax 20 --exponents 0", "--exponents", "must be >= 1, not 0"),
+        ("table --P 1 --Q -1 --p 11 --precision 0", "--precision", "must be >= 1, not 0"),
+        ("verify --P 1 --Q 0 --pmax 20", "--Q", "must be nonzero, not 0"),
+        ("table --P 1 --Q 0 --p 11", "--Q", "must be nonzero, not 0"),
+        ("verify --P 1 --Q -1 --pmax 20 --kmax x", "--kmax", "invalid int value: 'x'"),
+    ],
+)
+def test_option_ranges_are_the_parsers(capsys, argv, option, message):
+    # An out-of-range option is refused while parsing: a usage line, then the
+    # subcommand's error line naming the option, and exit 2.
+    command = argv.split()[0]
+    with pytest.raises(SystemExit) as err:
+        main(argv.split())
+    assert err.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith(f"usage: lucanomial {command} ")
+    assert lines[-1] == f"lucanomial {command}: error: argument {option}: {message}"
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -5,10 +5,14 @@ import random
 import pytest
 
 from lucanomial import (
+    Cell,
     LucasParams,
     NoRankError,
+    RankInfo,
+    compute_sums,
     is_prime,
     legendre,
+    lucanomial_residue,
     lucas_uv_mod,
     primes_in_range,
     rank_of_appearance,
@@ -101,6 +105,49 @@ def test_rank_rejects_p_dividing_q():
         rank_of_appearance(LucasParams(2, 2), 2)
     with pytest.raises(NoRankError):
         rank_of_appearance(LucasParams(1, -5), 5)
+
+
+# Each entry point that takes a prime, called as f(params, p, k, m, n).
+_ENTRIES = {
+    "rank_of_appearance": lambda params, p, k, m, n: rank_of_appearance(params, p),
+    "Cell": lambda params, p, k, m, n: Cell(params, p, m, k),
+    "residue-auto": lambda params, p, k, m, n: lucanomial_residue(params, m, n, p, k),
+    "residue-rank": lambda params, p, k, m, n: lucanomial_residue(params, m, n, p, k, "rank"),
+    "residue-exact": lambda params, p, k, m, n: lucanomial_residue(params, m, n, p, k, "exact"),
+    # The rank is refused before it is read, so any will do.
+    "compute_sums": lambda params, p, k, m, n: compute_sums(
+        params, RankInfo(p, 4, 0, True, {1: 4}), k
+    ),
+}
+_RESIDUES = ("Cell", "residue-auto", "residue-rank", "residue-exact")
+
+# (input, its (params, p, k, m, n), the exception, the entries that take it)
+_BAD_INPUTS = [
+    ("p=2,Q-even", (LucasParams(1, 2), 2, 3, 9, 4), NoRankError, tuple(_ENTRIES)),
+    ("p=2,Q-odd", (LucasParams(1, -1), 2, 3, 9, 4), ValueError, tuple(_ENTRIES)),
+    ("p=9", (LucasParams(1, -1), 9, 3, 9, 4), ValueError, tuple(_ENTRIES)),
+    ("p|Q", (LucasParams(1, -5), 5, 3, 9, 4), NoRankError, tuple(_ENTRIES)),
+    ("k=0", (LucasParams(1, -1), 11, 0, 9, 4), ValueError, _RESIDUES + ("compute_sums",)),
+    ("m<0", (LucasParams(1, -1), 11, 3, -1, 0), ValueError, _RESIDUES),
+    ("n<0", (LucasParams(1, -1), 11, 3, 9, -1), ValueError, _RESIDUES[1:]),
+]
+
+
+@pytest.mark.parametrize(
+    "args, error, entry",
+    [
+        pytest.param(args, error, entry, id=f"{name}-{entry}")
+        for name, args, error, entries in _BAD_INPUTS
+        for entry in entries
+    ],
+)
+def test_every_entry_refuses_a_bad_input_alike(args, error, entry):
+    # One rule refuses p unless it is an odd prime not dividing Q, wherever p
+    # comes in: p | Q is always NoRankError, and every other refusal is a
+    # plain ValueError.
+    with pytest.raises(ValueError) as refused:
+        _ENTRIES[entry](*args)
+    assert refused.type is error
 
 
 def test_rank_rejects_non_prime():

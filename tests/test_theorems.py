@@ -389,6 +389,29 @@ def test_sweep_reports_a_cell_that_fails_to_build(monkeypatch):
     assert all(not r.holds and "no cell" in r.error for r in reports)
 
 
+@pytest.mark.parametrize(
+    "part, theorems, cases",
+    [("Cell", ("N", "LjWe", "P5_1", "P6"), 6), ("_block_terms", ("LjWe",), 2),
+     ("compute_sums", ("P5_1", "P5_2", "P6"), 3)],
+)
+def test_sweep_builds_a_failing_part_once_per_cell(monkeypatch, part, theorems, cases):
+    # A part that cannot be built is not built again for each case that needs
+    # it: its failure is kept, and every such case reports it.
+    import lucanomial.theorems
+
+    calls = []
+
+    def broken_part(*args):
+        calls.append(args)
+        raise ArithmeticError(f"no {part}")
+
+    monkeypatch.setattr(lucanomial.theorems, part, broken_part)
+    reports = sweep([FIB], (11, 11), theorems, [1, 2], [1])
+    assert len(calls) == 1
+    assert len(reports) == cases
+    assert all(not r.holds and f"no {part}" in r.error for r in reports)
+
+
 def test_fifth_power_error_record_names_its_variant(monkeypatch):
     import lucanomial.theorems
 

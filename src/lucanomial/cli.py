@@ -47,18 +47,7 @@ def _expand_theorems(tokens: list[str]) -> tuple[str, ...]:
 
 def _params_list(args, parser) -> list[LucasParams]:
     if args.grid:
-        try:
-            pb, qb = (int(x) for x in args.grid.split(","))
-        except ValueError:
-            parser.error("--grid expects 'PBOUND,QBOUND'")
-        if pb < 0 or qb < 1:
-            parser.error("--grid bounds must satisfy PBOUND >= 0, QBOUND >= 1")
-        return [
-            LucasParams(P, Q)
-            for P in range(-pb, pb + 1)
-            for Q in range(-qb, qb + 1)
-            if Q != 0
-        ]
+        return args.grid
     if args.P is None or args.Q is None:
         parser.error("either --P and --Q or --grid is required")
     return [LucasParams(args.P, args.Q)]
@@ -76,12 +65,8 @@ def _verify_cell(params, p, theorems, ks, ls, fmt) -> tuple[str, int, int] | Non
 
 
 def _lemma_cell(params, p, fmt) -> tuple[str, int, int] | None:
-    if params.Q % p == 0:
-        return None
-    rank = rank_of_appearance(params, p)
-    if not rank.maximal:
-        return None
-    return _render(verify_sum_lemmas(params, rank), fmt)
+    reports = (r for rank in maximal_ranks(params, p, p) for r in verify_sum_lemmas(params, rank))
+    return _render(reports, fmt)
 
 
 def _map_cells(worker, tasks, jobs) -> Iterator:
@@ -209,15 +194,15 @@ def _work(worker, tasks, size, claims, offers, tell, spool) -> NoReturn:
             os._exit(code)
 
 
-def _cross_check_reports(params_list, p_min, p_max, count, seed) -> Iterator[CongruenceReport]:
-    """Seeded random fast-path vs exact-path residue comparisons."""
-    primes = primes_in_range(max(p_min, 3), p_max)
-    eligible = [(params, p) for params in params_list for p in primes if rank_path(params, p)]
-    if not eligible:
+def _cross_check_reports(params_list, primes, count, seed) -> Iterator[CongruenceReport]:
+    """Seeded random fast-path vs exact-path residue comparisons on the run's
+    cells: a pair and a prime are drawn, and drawn again while off the rank path."""
+    if not any(rank_path(params, p) for params in params_list for p in primes):
         return
     rng = random.Random(seed)
     for _ in range(count):
-        params, p = rng.choice(eligible)
+        while not rank_path(params := rng.choice(params_list), p := rng.choice(primes)):
+            pass
         rank = rank_of_appearance(params, p)
         k = rng.randint(1, 4)
         m = rng.randint(0, 4 * rank.rho)
@@ -383,9 +368,7 @@ def _run_verify(args, params_list) -> int:
     if args.cross_check:
         # Made in this process, as one batch of its own; map defers it until
         # the cells are written.
-        oracle = _cross_check_reports(
-            params_list, args.pmin, args.pmax, args.cross_check, args.seed
-        )
+        oracle = _cross_check_reports(params_list, primes, args.cross_check, args.seed)
         batches = itertools.chain(batches, map(_render, [oracle], [args.format]))
     return _finish(batches, args)
 
@@ -498,6 +481,19 @@ def _int_where(rule: str, ok: Callable[[int], bool]) -> Callable[[str], int]:
     return parse
 
 
+def _grid(text: str) -> list[LucasParams]:
+    """An argparse type: the pairs |P| <= PBOUND, 1 <= |Q| <= QBOUND of the
+    text 'PBOUND,QBOUND', for PBOUND >= 0 and QBOUND >= 1."""
+    try:
+        pb, qb = map(int, text.split(","))
+    except ValueError:
+        pb = qb = -1
+    if pb < 0 or qb < 1:
+        rule = "PBOUND,QBOUND with PBOUND >= 0 and QBOUND >= 1"
+        raise argparse.ArgumentTypeError(f"must be {rule}, not {text}")
+    return [LucasParams(P, Q) for P in range(-pb, pb + 1) for Q in range(-qb, qb + 1) if Q]
+
+
 _NONZERO = _int_where("nonzero", bool)
 _NONNEGATIVE = _int_where(">= 0", (0).__le__)
 _POSITIVE = _int_where(">= 1", (1).__le__)
@@ -515,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--Q", type=_NONZERO, help="second recurrence parameter (nonzero)")
         sp.add_argument(
             "--grid",
+            type=_grid,
             help="sweep |P| <= PBOUND, 1 <= |Q| <= QBOUND instead of one pair: 'PBOUND,QBOUND'",
         )
         sp.add_argument("--pmin", type=int, default=pmin_default)

@@ -62,13 +62,14 @@ def is_prime(n: int) -> bool:
 def primes_in_range(lo: int, hi: int) -> list[int]:
     """Primes p with lo <= p <= hi, ascending.
 
-    A segmented sieve: only [lo, hi] is sieved, by the primes up to isqrt(hi)
-    (found the same way), so the range [p, p] costs one entry plus the base
-    primes, not a sieve of [0, p].
+    A one-number range [n, n] is answered by `is_prime(n)`, so a sweep's
+    per-cell `maximal_ranks(params, p, p)` sieves nothing.  Any longer range
+    is a segmented sieve: only [lo, hi] is sieved, by the primes up to
+    isqrt(hi) (found the same way), not all of [0, hi].
     """
     lo = max(lo, 2)
-    if hi < lo:
-        return []
+    if hi <= lo:
+        return [lo] if hi == lo and is_prime(lo) else []
     sieve = bytearray([1]) * (hi - lo + 1)
     for q in primes_in_range(2, math.isqrt(hi)):
         # A composite n in [lo, hi] has a prime factor q <= isqrt(n), and

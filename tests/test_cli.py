@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from lucanomial import (
     verify_sum_lemmas,
 )
 from lucanomial import cli
+from lucanomial.binomial import rank_path
 from lucanomial.cli import _emit_records, _render, build_parser, main
 
 FIB = LucasParams(1, -1)
@@ -134,15 +136,34 @@ def test_parallel_output_matches_serial(tmp_path):
 
 
 def test_cross_check_is_its_own_text_group(capsys):
-    # The one oracle comparison of seed 19 has the last cell's (P, Q, p): it
-    # gets its own summary line instead of adding to the cell's count.
-    argv = "verify --P 1 --Q -1 --theorem N --pmax 23 --kmax 1 --cross-check 1 --seed 19"
+    # A run of one cell draws that cell whatever the seed: the oracle
+    # comparison gets its own summary line instead of adding to the cell's count.
+    argv = "verify --P 1 --Q -1 --theorem N --pmin 23 --pmax 23 --kmax 1 --cross-check 1"
     assert main(argv.split() + ["--format", "text", "--jobs", "1"]) == 0
-    assert capsys.readouterr().out.splitlines()[-3:] == [
+    assert capsys.readouterr().out.splitlines() == [
         "P=1 Q=-1 p=23 rho=24 eps=-1: 2 checks, all hold",
         "P=1 Q=-1 p=23 rho=24 eps=-1: 1 checks, all hold",
-        "checked=11 hold=11 failed=0",
+        "checked=3 hold=3 failed=0",
     ]
+
+
+def test_cross_check_draws_only_rank_path_cells_of_the_run(capsys):
+    # D = 0 puts every p of (2, 1) off the rank path: nothing is drawn, and
+    # the run still ends.
+    assert main("verify --P 2 --Q 1 --pmax 30 --cross-check 5 --format json".split()) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert records and not [r for r in records if r["theorem_id"] == "oracle"]
+    # On a grid, every draw is a cell of the run's pairs and primes on the
+    # rank path; the ones off it (p | 2QD) are drawn again.
+    argv = "verify --grid 2,2 --pmax 30 --cross-check 200 --format json"
+    assert main(argv.split()) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    oracle = [r for r in records if r["theorem_id"] == "oracle"]
+    assert len(oracle) == 200
+    primes = primes_in_range(5, 30)
+    for r in oracle:
+        assert abs(r["P"]) <= 2 and 1 <= abs(r["Q"]) <= 2 and r["p"] in primes, r
+        assert rank_path(LucasParams(r["P"], r["Q"]), r["p"]), r
 
 
 def test_jobs_default_is_the_usable_cpus(monkeypatch):
@@ -332,9 +353,14 @@ def _recorded_sweep(monkeypatch, argv):
 def test_sweep_holds_no_task_per_cell(monkeypatch):
     # A sweep's tasks are its cell numbers: the parent holds the (P, Q) list
     # and one prime list, not a task for each of the quarter million cells.
+    # The cross-check draws from those two lists too.  Its residues are
+    # stubbed: one exact residue near p = 20,000 walks ~80,000 exact terms.
+    same = types.SimpleNamespace(residue=lambda: 0)
+    monkeypatch.setattr(cli, "lucanomial_residue", lambda *args, **kwargs: same)
     for argv, cells in (
         ("lemmas --grid 5,5 --pmax 20000", 248_490),
         ("verify --grid 5,5 --pmax 20000", 248_600),
+        ("verify --grid 5,5 --pmax 20000 --cross-check 1", 248_600),
     ):
         _, tasks, peak = _recorded_sweep(monkeypatch, argv)
         assert len(tasks) == cells, argv
@@ -715,6 +741,9 @@ def test_table_command(capsys):
     assert "SQ0" in text
 
 
+GRID_RULE = "must be PBOUND,QBOUND with PBOUND >= 0 and QBOUND >= 1"
+
+
 @pytest.mark.parametrize(
     "argv, option, message",
     [
@@ -728,6 +757,11 @@ def test_table_command(capsys):
         ("verify --P 1 --Q 0 --pmax 20", "--Q", "must be nonzero, not 0"),
         ("table --P 1 --Q 0 --p 11", "--Q", "must be nonzero, not 0"),
         ("verify --P 1 --Q -1 --pmax 20 --kmax x", "--kmax", "invalid int value: 'x'"),
+        ("verify --grid 5 --pmax 20", "--grid", f"{GRID_RULE}, not 5"),
+        ("verify --grid a,b --pmax 20", "--grid", f"{GRID_RULE}, not a,b"),
+        # argparse reads a bare "-1,1" as an option, so the value is attached.
+        ("search --grid=-1,1 --pmax 20", "--grid", f"{GRID_RULE}, not -1,1"),
+        ("lemmas --grid 1,0 --pmax 20", "--grid", f"{GRID_RULE}, not 1,0"),
     ],
 )
 def test_option_ranges_are_the_parsers(capsys, argv, option, message):

@@ -59,12 +59,14 @@ def test_primes_in_range():
 
 def test_primes_in_range_matches_is_prime():
     # The segmented sieve against Miller-Rabin: ranges that start at or below
-    # 2, ranges that start above isqrt(hi), one-entry and empty ranges.
+    # 2, ranges that start above isqrt(hi), one-entry and empty ranges; and
+    # every one-number range below 2,000, which is_prime answers alone.
     rng = random.Random(10)
     ranges = [(-5, 1), (-5, 2), (0, 3), (2, 2), (4, 4), (3, 4), (9, 9), (121, 121), (90, 80)]
     for _ in range(200):
         lo = rng.choice([rng.randint(-3, 2), rng.randint(3, 2000), rng.randint(10**6, 10**8)])
         ranges.append((lo, lo + rng.randint(-2, 600)))
+    ranges += [(n, n) for n in range(2000)]
     for lo, hi in ranges:
         assert primes_in_range(lo, hi) == [n for n in range(lo, hi + 1) if is_prime(n)], (lo, hi)
 

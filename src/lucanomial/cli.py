@@ -17,7 +17,6 @@ import json
 import marshal
 import os
 import random
-import shutil
 import sys
 import tempfile
 from typing import Callable, Iterator, NoReturn
@@ -70,66 +69,33 @@ def _lemma_cell(params, p, fmt) -> tuple[str, int, int] | None:
 
 
 def _map_cells(worker, tasks, jobs) -> Iterator:
-    """Each task's rendered cell, in task order.
+    """Each task's rendered cell, in task order, once every cell is spooled.
 
-    With more than one job and cell, forked workers check the cells.  The
-    tasks go out in chunks: every chunk id waits in one pipe, and a worker
-    claims the next id whenever it is free, so one that finishes early takes
-    more work.  Each worker writes its chunks, as the id then the marshalled
-    cells, to its own unnamed temporary file (its spool).  Once every worker
-    has exited cleanly, the spools are read back chunk by chunk in id order,
-    so no more than one chunk is held here.  A worker whose cell raised makes
-    this raise; a spool that failed exits 2.  Where os.fork is missing the
-    cells are checked in this process.
+    The tasks go out in chunks, each spooled as its id then its marshalled
+    cells to its worker's own unnamed temporary file.  With more than one job
+    and cell, forked workers check them (_fork_workers); else, or where
+    os.fork is missing, this process spools every chunk in turn.  Nothing is
+    yielded before the last chunk is spooled, so a cell that raises, or a
+    spool that fails (exit 2), ends the sweep before its report is begun.
+    The spools are then read back chunk by chunk in id order, so no more
+    than one chunk is held here.
     """
-    if jobs <= 1 or len(tasks) <= 1 or not hasattr(os, "fork"):
-        yield from map(worker, tasks)
-        return
-    workers = min(jobs, len(tasks))
+    workers = max(1, min(jobs, len(tasks))) if hasattr(os, "fork") else 1
     # A rendered cell is a short string, so finer chunks cost little to spool
     # and even out the finish: the slowest chunk no longer sets the tail.
     size = max(1, len(tasks) // (workers * 16))
     chunks = range(-(-len(tasks) // size))
-    pids: list[int] = []
     with contextlib.ExitStack() as stack:
-        # Registered first, so it runs last: on any way out, no worker is
-        # left running or unreaped.
-        stack.callback(_reap, pids)
-        claims, offers = _pipe(stack)
-        reasons, tell = _pipe(stack)
         try:
             spools = [stack.enter_context(tempfile.TemporaryFile()) for _ in range(workers)]
         except OSError as exc:
             _fail(f"cannot spool the report: {exc.strerror or exc}")
-        # What is still buffered would otherwise be written by every child too.
-        sys.stdout.flush()
-        sys.stderr.flush()
-        for spool in spools:
-            pid = os.fork()
-            if pid == 0:
-                _work(worker, tasks, size, claims, offers, tell, spool)
-            pids.append(pid)
-        # Once the workers alone hold the read end, a write fails rather
-        # than blocks should they all be gone.
-        claims.close()
-        tell.close()
-        try:
-            for chunk in chunks:
-                # 4 bytes is below PIPE_BUF: each write, and so each 4-byte
-                # read, moves one whole id.
-                offers.write(chunk.to_bytes(4, "little"))
-        except BrokenPipeError:
-            pass  # every worker is gone; their exit statuses say why
-        offers.close()
-        while pids:
-            code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
-            del pids[0]
-            if code == 2:
-                # Each worker whose spool failed sent one line; report the first.
-                reason = reasons.read(4096).decode().partition("\n")[0]
-                _fail(f"cannot spool the report: {reason}")
-            if code:
-                raise RuntimeError(f"a sweep worker exited with status {code}")
+        if workers == 1:
+            reason = _spool_chunks(worker, tasks, size, chunks, spools[0])
+        else:
+            reason = _fork_workers(worker, tasks, size, chunks, spools, stack)
+        if reason:
+            _fail(f"cannot spool the report: {reason}")
         try:
             for spool in spools:
                 spool.seek(0)
@@ -142,6 +108,61 @@ def _map_cells(worker, tasks, jobs) -> Iterator:
                 yield from cells
         except OSError as exc:
             _fail(f"cannot spool the report: {exc.strerror or exc}")
+
+
+def _spool_chunks(worker, tasks, size, ids, spool) -> str | None:
+    """Check each chunk whose id `ids` gives, and spool it as the id then its
+    marshalled cells.  Returns why the spool failed, or None when every chunk
+    is in; a cell that raises propagates."""
+    for chunk in ids:
+        cells = [worker(task) for task in tasks[chunk * size : (chunk + 1) * size]]
+        try:
+            spool.write(chunk.to_bytes(4, "little"))
+            marshal.dump(cells, spool)
+            spool.flush()
+        except OSError as exc:
+            return str(exc.strerror or exc)
+
+
+def _fork_workers(worker, tasks, size, chunks, spools, stack) -> str | None:
+    """Fork one worker per spool and wait for every one; `stack` closes the
+    pipes and kills what is left of the workers.  Every chunk id waits in one
+    pipe, and a worker claims the next id whenever it is free, so one that
+    finishes early takes more work.  Returns why a worker's spool failed, or
+    None; a worker whose cell raised makes this raise."""
+    pids: list[int] = []
+    # On any way out of the sweep, no worker is left running or unreaped.
+    stack.callback(_reap, pids)
+    claims, offers = _pipe(stack)
+    reasons, tell = _pipe(stack)
+    # What is still buffered would otherwise be written by every child too.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    for spool in spools:
+        pid = os.fork()
+        if pid == 0:
+            _work(worker, tasks, size, claims, offers, tell, spool)
+        pids.append(pid)
+    # Once the workers alone hold the read end, a write fails rather
+    # than blocks should they all be gone.
+    claims.close()
+    tell.close()
+    try:
+        for chunk in chunks:
+            # 4 bytes is below PIPE_BUF: each write, and so each 4-byte
+            # read, moves one whole id.
+            offers.write(chunk.to_bytes(4, "little"))
+    except BrokenPipeError:
+        pass  # every worker is gone; their exit statuses say why
+    offers.close()
+    while pids:
+        code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
+        del pids[0]
+        if code == 2:
+            # Each worker whose spool failed sent one line; report the first.
+            return reasons.read(4096).decode().partition("\n")[0]
+        if code:
+            raise RuntimeError(f"a sweep worker exited with status {code}")
 
 
 def _pipe(stack: contextlib.ExitStack) -> tuple:
@@ -163,25 +184,19 @@ def _reap(pids: list[int]) -> None:
 
 
 def _work(worker, tasks, size, claims, offers, tell, spool) -> NoReturn:
-    """A forked worker: claim chunk ids from `claims` until it is empty, and
-    spool each chunk as its id then its marshalled cells.  It leaves only
-    through os._exit, so it flushes nothing it inherited.  It exits 0 when
-    done; 2 when its spool failed, after sending the reason to `tell`; and 1,
-    with the traceback on stderr, when a cell raised."""
+    """A forked worker: spool the chunks whose ids it claims from `claims`
+    until it is empty.  It leaves only through os._exit, so it flushes
+    nothing it inherited.  It exits 0 when done; 2 when its spool failed,
+    after sending the reason to `tell`; and 1, with the traceback on stderr,
+    when a cell raised."""
     code = 0
     try:
         offers.close()  # else the workers never see the end of the claims
-        while claim := claims.read(4):
-            start = int.from_bytes(claim, "little") * size
-            cells = [worker(task) for task in tasks[start : start + size]]
-            try:
-                spool.write(claim)
-                marshal.dump(cells, spool)
-                spool.flush()
-            except OSError as exc:
-                tell.write(f"{exc.strerror or exc}\n".encode())
-                code = 2
-                break
+        claimed = iter(functools.partial(claims.read, 4), b"")
+        ids = (int.from_bytes(claim, "little") for claim in claimed)
+        if reason := _spool_chunks(worker, tasks, size, ids, spool):
+            tell.write(f"{reason}\n".encode())
+            code = 2
     except BaseException:
         code = 1
         import traceback  # only a failed cell needs it
@@ -223,31 +238,26 @@ def _fail(message: str) -> NoReturn:
     sys.exit(2)
 
 
-_CHUNK = 64 * 1024
-
-
 def _write(report, out_path) -> None:
-    """Copy the readable text stream `report` to stdout or to `out_path`,
-    which is opened only now, in chunks through the destination's own write,
-    so no more than one chunk of the report is held.  A reader that closes
-    stdout early (`| head`) exits 2."""
-    if not out_path:
-        try:
-            shutil.copyfileobj(report, sys.stdout, _CHUNK)
+    """Write the text pieces of `report` in turn to `out_path`, which is
+    opened only now, or else to stdout as it is at the call.  A destination
+    that cannot be written exits 2: a stdout on a full disk, say, or one
+    whose reader closed early (`| head`)."""
+    try:
+        if out_path:
+            with open(out_path, "w") as fh:
+                fh.writelines(report)
+        else:
+            sys.stdout.writelines(report)
             sys.stdout.flush()
-        except BrokenPipeError as exc:
+    except OSError as exc:
+        if not out_path:
             # What is still buffered goes to devnull, so the flush at
             # shutdown cannot raise a second time.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-            _fail(f"cannot write to stdout: {exc.strerror or exc}")
-        return
-    try:
-        with open(out_path, "w") as fh:
-            shutil.copyfileobj(report, fh, _CHUNK)
-    except OSError as exc:
-        _fail(f"cannot write {out_path}: {exc.strerror or exc}")
+        _fail(f"cannot write {out_path or 'to stdout'}: {exc.strerror or exc}")
 
 
 # A list of flat records in the layout json.dumps(..., indent=2) gives it
@@ -303,48 +313,38 @@ def _text_lines(reports) -> str:
 
 
 def _emit_records(batches, fmt, out_path) -> tuple[int, int]:
-    """Spool the header, each rendered batch as it arrives (empty ones are
-    None and skipped), then the footer or the totals, to an unnamed temporary
-    file, and copy it to the destination only once every batch is in, so a
-    failure midway leaves no partial report and no more than one fragment is
-    held.  A spool that cannot be made or written exits 2.
-    Returns (checked, held)."""
+    """Write the header, each rendered batch (empty ones are None and
+    skipped), then the footer or the totals, holding one batch at a time.
+    The destination is opened only once the first batch is in: _map_cells
+    spools every cell before it yields one, so a sweep whose cell raises or
+    whose spool fails writes nothing.  Returns (checked, held)."""
+    batches = iter(batches)
+    first = next(batches, None)
+    checked = held = 0
 
-    def spooled(op, *args, **kwargs):
-        """Run one spool operation; an OSError there (a full TMPDIR, say) exits 2."""
-        try:
-            return op(*args, **kwargs)
-        except OSError as exc:
-            _fail(f"cannot spool the report: {exc.strerror or exc}")
-
-    # newline="" keeps the csv module's "\r\n" row ends as they are.
-    with spooled(tempfile.TemporaryFile, "w+", encoding="utf-8", newline="") as spool:
-
-        def put(text: str) -> None:
-            spooled(spool.write, text)
-
-        checked = held = 0
+    def report() -> Iterator[str]:
+        nonlocal checked, held
         if fmt == "json":
-            put('{\n  "records": [')
+            yield '{\n  "records": ['
         elif fmt == "csv":
             header = io.StringIO()
             csv.writer(header).writerow(RECORD_FIELDS)
-            put(header.getvalue())
-        for batch in batches:
+            yield header.getvalue()
+        for batch in itertools.chain([first], batches):
             if not batch:
                 continue
             text, count, ok = batch
             if fmt == "json" and checked:
-                put(",")
-            put(text)
+                yield ","
+            yield text
             checked += count
             held += ok
         if fmt == "json":
-            put("\n  ]\n}\n" if checked else "]\n}\n")
+            yield "\n  ]\n}\n" if checked else "]\n}\n"
         elif fmt == "text":
-            put(f"checked={checked} hold={held} failed={checked - held}\n")
-        spooled(spool.seek, 0)  # flushes what the spool still buffers
-        _write(spool, out_path)
+            yield f"checked={checked} hold={held} failed={checked - held}\n"
+
+    _write(report(), out_path)
     return checked, held
 
 
@@ -366,10 +366,9 @@ def _run_verify(args, params_list) -> int:
     worker = functools.partial(_cell_at, _verify_cell, params_list, primes, rest)
     batches = _map_cells(worker, range(len(params_list) * len(primes)), args.jobs)
     if args.cross_check:
-        # Made in this process, as one batch of its own; map defers it until
-        # the cells are written.
+        # Made in this process, as one batch of its own after the cells.
         oracle = _cross_check_reports(params_list, primes, args.cross_check, args.seed)
-        batches = itertools.chain(batches, map(_render, [oracle], [args.format]))
+        batches = itertools.chain(batches, [_render(oracle, args.format)])
     return _finish(batches, args)
 
 
@@ -414,7 +413,7 @@ def _run_search(args, params_list) -> int:
             + "\n"
             for params, info in rows
         ) + f"found={len(rows)}\n"
-    _write(io.StringIO(text), args.out)
+    _write([text], args.out)
     return 0
 
 
@@ -456,7 +455,7 @@ def _run_table(args) -> int:
     else:
         head = f"P={params.P} Q={params.Q} p={table.p} rho={table.rho} mod p^{table.k}\n"
         text = head + "".join(f"{k} = {v}\n" for k, v in entries.items())
-    _write(io.StringIO(text), args.out)
+    _write([text], args.out)
     return 0
 
 

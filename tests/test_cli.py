@@ -4,6 +4,7 @@ import contextlib
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -302,7 +303,7 @@ def _synthetic_batches(count, size):
 
 
 def test_emitter_peak_does_not_grow_with_the_report(tmp_path):
-    # The report is spooled to a temporary file and copied out in chunks, so
+    # The emitter holds one batch at a time and writes it straight out, so
     # the traced peak stays under one bound, a quarter of the smaller report,
     # whether the report is 4 MB or 16 MB.
     bound = 1_000_000
@@ -376,40 +377,40 @@ def test_sweep_cells_go_each_pair_then_each_prime(monkeypatch):
         assert [worker(i) for i in tasks] == expected, command
 
 
-def test_sweep_that_dies_midway_writes_nothing(tmp_path, capsys):
-    cells = [sweep([FIB], (p, p), ("N",), range(2)) for p in (7, 11, 19)]
+def _sweep_that_raises_at_eleven(params_grid, p_range, *args):
+    if p_range == (11, 11):
+        raise ArithmeticError("cell failed")
+    return sweep(params_grid, p_range, *args)
 
-    def dying_batches(fmt):
-        for reports in cells:
-            yield _render(reports, fmt)
-        raise RuntimeError("worker died")
 
+def test_sweep_that_dies_midway_writes_nothing(tmp_path, monkeypatch, capsys):
+    # Every cell is spooled before the report is begun, so a cell that
+    # raises after p = 5 and 7 are checked leaves no byte of the report.
+    monkeypatch.setattr(cli, "sweep", _sweep_that_raises_at_eleven)
     out = tmp_path / "report.out"
     out.write_bytes(b"an earlier report\n")
+    argv = "verify --P 1 --Q -1 --theorem N --pmax 30 --kmax 1 --jobs 1".split()
     for fmt in ORACLES:
-        for path in (str(out), None):
-            with pytest.raises(RuntimeError, match="worker died"):
-                _emit_records(dying_batches(fmt), fmt, path)
+        for dest in (["--out", str(out)], []):
+            with pytest.raises(ArithmeticError, match="cell failed"):
+                main(argv + ["--format", fmt] + dest)
     assert out.read_bytes() == b"an earlier report\n"
     assert capsys.readouterr().out == ""
 
 
-class _FullSpool(io.StringIO):
+class _FullSpool(io.BytesIO):
     """A spool on a full disk: its `failing` operation, "write" or "seek"
-    (which flushes what the spool buffers), raises ENOSPC."""
+    (with which the spools are read back), raises ENOSPC."""
 
     failing = "write"
-
-    def __init__(self, *args, **kwargs):
-        super().__init__()
 
     def _check(self, op):
         if op == self.failing:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    def write(self, text):
+    def write(self, data):
         self._check("write")
-        return super().write(text)
+        return super().write(data)
 
     def seek(self, *args):
         self._check("seek")
@@ -423,7 +424,7 @@ def _no_spool(*args, **kwargs):
 def test_spool_that_fails_exits_two(tmp_path, monkeypatch, capsys):
     out = tmp_path / "report.out"
     out.write_bytes(b"an earlier report\n")
-    argv = "verify --P 1 --Q -1 --theorem N --pmax 30 --kmax 1 --jobs 1".split()
+    argv = "verify --P 1 --Q -1 --theorem N --pmax 30 --kmax 1".split()
     for spool, failing, reason in (
         (_FullSpool, "write", "No space left on device"),
         (_FullSpool, "seek", "No space left on device"),
@@ -431,13 +432,13 @@ def test_spool_that_fails_exits_two(tmp_path, monkeypatch, capsys):
     ):
         monkeypatch.setattr(tempfile, "TemporaryFile", spool)
         monkeypatch.setattr(_FullSpool, "failing", failing)
-        for fmt in ORACLES:
+        for jobs, fmt in itertools.product(("1", "2"), ORACLES):
             for dest in (["--out", str(out)], []):
                 with pytest.raises(SystemExit) as err:
-                    main(argv + ["--format", fmt] + dest)
-                assert err.value.code == 2, (failing, fmt, dest)
+                    main(argv + ["--jobs", jobs, "--format", fmt] + dest)
+                assert err.value.code == 2, (failing, jobs, fmt, dest)
                 captured = capsys.readouterr()
-                assert captured.out == "", (failing, fmt, dest)
+                assert captured.out == "", (failing, jobs, fmt, dest)
                 assert captured.err.startswith(
                     f"lucanomial: error: cannot spool the report: {reason}"
                 )
@@ -467,6 +468,47 @@ def test_pool_starts_no_more_workers_than_cells(monkeypatch, capsys):
     assert forks == []
 
 
+def test_sweep_without_fork_runs_in_this_process(tmp_path, monkeypatch):
+    argv = "verify --grid 1,1 --pmax 13".split()
+    for fmt in ORACLES:
+        serial = tmp_path / f"serial.{fmt}"
+        assert main(argv + ["--format", fmt, "--jobs", "1", "--out", str(serial)]) == 0
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            unforked = tmp_path / f"unforked.{fmt}"
+            assert main(argv + ["--format", fmt, "--jobs", "4", "--out", str(unforked)]) == 0
+        assert unforked.read_bytes() == serial.read_bytes(), fmt
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_report_passes_through_tmpdir_once(tmp_path, monkeypatch):
+    # One spool per worker and none more: the cells are copied from the
+    # spools straight to the destination.  A duplicate of each temporary
+    # file's descriptor keeps it open, so its final size can be read.
+    made = []
+    temporary_file = tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        spool = temporary_file(*args, **kwargs)
+        made.append(os.dup(spool.fileno()))
+        return spool
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    out = tmp_path / "report.json"
+    argv = f"verify --grid 2,2 --pmax 60 --format json --out {out} --jobs".split()
+    for jobs, files in (("2", 2), ("1", 1)):
+        assert main(argv + [jobs]) == 0
+        try:
+            written = sum(os.fstat(fd).st_size for fd in made)
+        finally:
+            for fd in made:
+                os.close(fd)
+        assert len(made) == files, jobs
+        assert written <= 1.05 * out.stat().st_size, (jobs, written)
+        made.clear()
+
+
 def test_parallel_output_matches_serial_on_uneven_chunks(tmp_path):
     # 12 cells over 3 workers, chunks of one cell; then 160 cells in 54
     # chunks of 3, the last chunk holding one cell.
@@ -481,12 +523,7 @@ def test_parallel_output_matches_serial_on_uneven_chunks(tmp_path):
 
 
 def test_worker_whose_cell_raises_fails_the_sweep(tmp_path, monkeypatch, capfd):
-    def sweep_that_raises_at_eleven(params_grid, p_range, *args):
-        if p_range == (11, 11):
-            raise ArithmeticError("cell failed")
-        return sweep(params_grid, p_range, *args)
-
-    monkeypatch.setattr(cli, "sweep", sweep_that_raises_at_eleven)
+    monkeypatch.setattr(cli, "sweep", _sweep_that_raises_at_eleven)
     out = tmp_path / "report.json"
     argv = "verify --P 1 --Q -1 --theorem N --pmax 40 --kmax 1 --format json --jobs 2"
     with pytest.raises(RuntimeError, match="sweep worker exited with status 1"):
@@ -597,6 +634,27 @@ def test_closed_stdout_exits_two():
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert err.splitlines() == ["lucanomial: error: cannot write to stdout: Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_on_a_full_disk_exits_two():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for argv in (
+        "verify --P 1 --Q -1 --pmax 30 --format json --jobs 1",
+        "search --P 1 --Q -1 --pmax 30",
+    ):
+        with open("/dev/full", "w") as full:
+            result = subprocess.run(
+                [sys.executable, "-m", "lucanomial.cli", *argv.split()],
+                env=env,
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert result.returncode == 2, argv
+        message = "lucanomial: error: cannot write to stdout: No space left on device"
+        assert result.stderr.splitlines() == [message], argv
 
 
 def test_theorem_tokens_select_registry_ids(tmp_path):

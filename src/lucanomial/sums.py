@@ -185,9 +185,7 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     return SumsTable(params, p, rho, k, power, monomial, weighted)
 
 
-def verify_power_sums(
-    params: LucasParams, rank: RankInfo, nu: int, table: SumsTable | None = None
-) -> CongruenceReport:
+def verify_power_sums(params: LucasParams, rank: RankInfo, nu: int) -> CongruenceReport:
     """Check the value of the power sum sigma(nu) at its stated modulus.
 
     At maximal rank (and p >= nu + 3): 0 mod p^2 for odd nu; for even nu,
@@ -197,9 +195,15 @@ def verify_power_sums(
     """
     if not 0 <= nu <= POWER_MAX:
         raise ValueError(f"nu must be in 0..{POWER_MAX}")
+    return _power_sum_report(params, rank, nu, compute_sums(params, rank, 2))
+
+
+def _power_sum_report(
+    params: LucasParams, rank: RankInfo, nu: int, table: SumsTable
+) -> CongruenceReport:
+    """verify_power_sums's report, read from `table`, the sums of (params,
+    rank) mod p^k for some k >= 2."""
     p, eps = rank.p, rank.epsilon
-    if table is None:
-        table = compute_sums(params, rank, 2)
     if rank.maximal and p >= nu + 3:
         if nu % 2:
             j, rhs = 2, 0
@@ -214,6 +218,12 @@ def verify_power_sums(
     else:
         raise ValueError("even nu needs maximal rank and p >= nu + 3")
     return CongruenceReport.of("power_sums", params, rank, {"k": nu}, j, table.power[nu], rhs)
+
+
+def _v_and_ratio(params: LucasParams, rho: int, modulus: int) -> tuple[int, int]:
+    """(V_rho, U_rho/V_rho) mod modulus, for the central expansions and sigma(1)'s reductions."""
+    u_r, v_r = lucas_uv_mod(params, rho, modulus)
+    return v_r, u_r * pow(v_r, -1, modulus) % modulus
 
 
 def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceReport]:
@@ -234,7 +244,7 @@ def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceRep
     M5 = table.modulus
     D, Q = params.D, params.Q
     reports = [
-        verify_power_sums(params, rank, nu, table) for nu in range(POWER_MAX + 1) if p >= nu + 3
+        _power_sum_report(params, rank, nu, table) for nu in range(POWER_MAX + 1) if p >= nu + 3
     ]
 
     def check(tid, inputs, j, lhs, rhs, error=None):
@@ -270,8 +280,7 @@ def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceRep
             error = "weighted sum disagrees with sigma(nu+2) - D sigma(nu)"
         check("weighted_sum", {"k": nu}, 2 if nu % 2 else 1, lhs, 0, error)
 
-    u_r, v_r = lucas_uv_mod(params, rho, M5)
-    uv = u_r * pow(v_r, -1, M5) % M5
+    _, uv = _v_and_ratio(params, rho, M5)
     check("sum_reflection", {}, 4, -2 * table.sigma(1), uv * table.weighted[0])
     half_term = pow(2, -1, M5) * (rho - 1) % M5 * D % M5
     rhs17 = uv * uv % M5 * ((table.sigma(1, 1) + half_term) % M5)

@@ -17,10 +17,10 @@ from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .binomial import Cell, generalized_binomial, lucanomial_residue, rank_path, zero_cancellations
-from .lucas import LucasParams, lucas_term, lucas_uv_mod, u_walk
+from .lucas import LucasParams, lucas_term, u_walk
 from .ranks import NonMaximalRankError, RankInfo, maximal_ranks, rank_of_appearance
 from .reports import CongruenceReport
-from .sums import SumsTable, compute_sums
+from .sums import SumsTable, _v_and_ratio, compute_sums
 
 __all__ = [
     "THEOREM_IDS",
@@ -50,9 +50,9 @@ class _once(cached_property):
 class _Context:
     """What the cases of one cell (params, p) share, each part built on first
     use inside the case that needs it, so a failure lands in that case's
-    report.  The cell, the block terms and the sums table reach the case
-    multiplier `kmax` at `exponent`, the largest modulus exponent among the
-    theorems checked at p.  `rank` must be that of p in U(params)."""
+    report.  Every part reaches the case multiplier `kmax` at `exponent`, the
+    largest modulus exponent among the theorems checked at p.  `rank` must be
+    that of p in U(params)."""
 
     def __init__(self, params: LucasParams, rank: RankInfo, kmax: int, exponent: int) -> None:
         self.params, self.rank, self.kmax, self.exponent = params, rank, kmax, exponent
@@ -83,6 +83,21 @@ class _Context:
     @_once
     def table(self) -> SumsTable:
         return compute_sums(self.params, self.rank, self.exponent)
+
+    @_once
+    def twist(self) -> int:
+        """(-1)^eps Q^(rho(rho-1)/2) mod p^exponent, N's right side at k = 1:
+        its powers are the sign and Q-power of N and LjWe, and it is the
+        prefactor of P5_2..P5_4 and P6.  Those write the sign (-1)^(rho-1),
+        the same one: at maximal rank rho - 1 = p - 1 - eps with p odd."""
+        rho, modulus = self.rank.rho, self.rank.p**self.exponent
+        sign = modulus - 1 if self.rank.epsilon % 2 else 1
+        return sign * pow(self.params.Q, rho * (rho - 1) // 2, modulus) % modulus
+
+    @_once
+    def ratio(self) -> tuple[int, int]:
+        """(V_rho, U_rho/V_rho) mod p^exponent, for P5 and P6."""
+        return _v_and_ratio(self.params, self.rank.rho, self.rank.p**self.exponent)
 
 
 class _Theorem(NamedTuple):
@@ -143,11 +158,6 @@ def _context(
     return context, theorem.exponent
 
 
-def _sign_mod(exponent: int, modulus: int) -> int:
-    """(-1)^exponent mod modulus, for possibly negative exponents."""
-    return modulus - 1 if exponent % 2 else 1
-
-
 def verify_wolstenholme(
     params: LucasParams, p: int, k: int, context: _Context | None = None
 ) -> CongruenceReport:
@@ -164,11 +174,11 @@ def verify_wolstenholme(
     if k < 0:
         raise ValueError("k must be nonnegative")
     context, j = _context(params, p, "N", context, k)
-    rank, rho, eps = context.rank, context.rank.rho, context.rank.epsilon
+    rank, rho = context.rank, context.rank.rho
     modulus = p**j
     m, n = (k + 1) * rho - 1, rho - 1
     lhs = lucanomial_residue(params, m, n, p, j, cell=context.cell).residue()
-    rhs = _sign_mod(k * eps, modulus) * pow(params.Q, k * rho * (rho - 1) // 2, modulus)
+    rhs = pow(context.twist, k, modulus)
     base = context.central % modulus
     error = None if pow(base, k, modulus) == lhs else "k-th power of the base case disagrees"
     return CongruenceReport.of(
@@ -204,31 +214,14 @@ def verify_ljunggren(
     if l < 0 or k < l:
         raise ValueError("need k >= l >= 0")
     context, j = _context(params, p, "LjWe", context, k)
-    rank, rho, eps = context.rank, context.rank.rho, context.rank.epsilon
-    modulus = p**j
+    rank, rho = context.rank, context.rank.rho
     m, n = k * rho, l * rho
     lhs = lucanomial_residue(params, m, n, p, j, cell=context.cell).residue()
     block = generalized_binomial(context.blocks, k, l)
-    e = l * (k - l)
-    rhs = block * _sign_mod(e * eps, modulus) * pow(params.Q, e * rho * (rho - 1) // 2, modulus)
+    rhs = block * pow(context.twist, l * (k - l), p**j)
     return CongruenceReport.of(
         "LjWe", params, rank, {"k": k, "l": l}, j, lhs, rhs, None, zero_cancellations(params, m, n)
     )
-
-
-def _uv_ratio(params: LucasParams, rho: int, modulus: int) -> tuple[int, int, int]:
-    u_r, v_r = lucas_uv_mod(params, rho, modulus)
-    return u_r, v_r, u_r * pow(v_r, -1, modulus) % modulus
-
-
-def _parity_sign(rank: RankInfo, modulus: int) -> int:
-    # (-1)^eps and (-1)^(rho-1) agree at maximal rank for odd p; compute both
-    # and insist, since the four statements use the two forms interchangeably.
-    s_eps = _sign_mod(rank.epsilon, modulus)
-    s_rho = _sign_mod(rank.rho - 1, modulus)
-    if s_eps != s_rho:
-        raise ArithmeticError("parity of rho - 1 disagrees with epsilon")
-    return s_eps
 
 
 def verify_fifth_power(
@@ -252,35 +245,7 @@ def verify_fifth_power(
     """
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1, 2, 3 or 4")
-    tid = f"P5_{variant}"
-    context, j = _context(params, p, tid, context)
-    rank, table = context.rank, context.table
-    rho, eps = rank.rho, rank.epsilon
-    modulus = p**j
-    lhs = context.central % modulus
-    _, v_r, uv = _uv_ratio(params, rho, modulus)
-    s1 = table.sigma(1) % modulus
-    s11 = table.sigma(1, 1) % modulus
-    sign = _parity_sign(rank, modulus)
-    qpow = pow(params.Q, rho * (rho - 1) // 2, modulus)
-    inv2 = pow(2, -1, modulus)
-    if variant == 1:
-        prefactor = pow(v_r * inv2 % modulus, rho - 1, modulus)
-        bracket = 1 + uv * s1 + uv * uv % modulus * s11
-        if eps == 1:
-            bracket += params.D * params.D % modulus * pow(uv, 4, modulus)
-    else:
-        prefactor = sign * qpow % modulus
-        if variant == 2:
-            bracket = 1 + 2 * uv * s1
-        elif variant == 3:
-            bracket = 1 - uv * uv % modulus * (table.weighted[0] % modulus)
-        else:
-            half_term = params.D * inv2 % modulus * (rho - 1) % modulus
-            bracket = 1 + uv * s1 + uv * uv % modulus * ((s11 + half_term) % modulus)
-    rhs = prefactor * (bracket % modulus)
-    zeros = zero_cancellations(params, 2 * rho - 1, rho - 1)
-    return CongruenceReport.of(tid, params, rank, {"k": variant}, j, lhs, rhs, None, zeros)
+    return _central_expansion(params, p, f"P5_{variant}", {"k": variant}, context)
 
 
 def verify_sixth_power(
@@ -296,19 +261,40 @@ def verify_sixth_power(
     not of (params, p), or built below p^6, is refused with ValueError.
     Without one, the verifier builds one for this case alone.
     """
-    context, j = _context(params, p, "P6", context)
+    return _central_expansion(params, p, "P6", {}, context)
+
+
+def _central_expansion(
+    params: LucasParams, p: int, tid: str, inputs: dict[str, int], context: _Context | None
+) -> CongruenceReport:
+    """Check `tid`, one of P5_1..P5_4 and P6: the central Lucanomial against a
+    prefactor times a bracket in U/V = U_rho/V_rho and the tabulated sums."""
+    context, j = _context(params, p, tid, context)
     rank, table = context.rank, context.table
-    rho = rank.rho
-    modulus = p**j
+    rho, modulus = rank.rho, p**j
     lhs = context.central % modulus
-    _, _, uv = _uv_ratio(params, rho, modulus)
+    v_r, uv = (x % modulus for x in context.ratio)
     s1 = table.sigma(1) % modulus
-    s3 = table.sigma(3) % modulus
-    sign = _parity_sign(rank, modulus)
-    bracket = 1 + 2 * uv * s1 + 2 * pow(3, -1, modulus) * pow(uv, 3, modulus) % modulus * s3
-    rhs = sign * pow(params.Q, rho * (rho - 1) // 2, modulus) % modulus * (bracket % modulus)
+    uv2 = uv * uv % modulus
+    inv2 = pow(2, -1, modulus)
+    prefactor = context.twist
+    if tid == "P5_1":
+        prefactor = pow(v_r * inv2 % modulus, rho - 1, modulus)
+        bracket = 1 + uv * s1 + uv2 * table.sigma(1, 1)
+        if rank.epsilon == 1:
+            bracket += params.D * params.D % modulus * pow(uv, 4, modulus)
+    elif tid == "P5_2":
+        bracket = 1 + 2 * uv * s1
+    elif tid == "P5_3":
+        bracket = 1 - uv2 * table.weighted[0]
+    elif tid == "P5_4":
+        half_term = params.D * inv2 % modulus * (rho - 1) % modulus
+        bracket = 1 + uv * s1 + uv2 * ((table.sigma(1, 1) + half_term) % modulus)
+    else:
+        bracket = 1 + 2 * uv * s1 + 2 * pow(3, -1, modulus) * uv2 * uv % modulus * table.sigma(3)
+    rhs = prefactor * (bracket % modulus)
     zeros = zero_cancellations(params, 2 * rho - 1, rho - 1)
-    return CongruenceReport.of("P6", params, rank, {}, j, lhs, rhs, None, zeros)
+    return CongruenceReport.of(tid, params, rank, inputs, j, lhs, rhs, None, zeros)
 
 
 def sweep(

@@ -12,6 +12,7 @@ from lucanomial import (
     verify_power_sums,
     verify_sum_lemmas,
 )
+from lucanomial.ranks import maximal_ranks
 from lucanomial.sums import MONOMIAL_KEYS, POWER_MAX, WEIGHTED_MAX, _monomials_from_powers
 
 
@@ -204,6 +205,24 @@ def test_power_sum_supplement_any_rank():
         assert r.holds and r.modulus_exponent == 1
     with pytest.raises(ValueError):
         verify_power_sums(params, rank, 2)
+
+
+def test_power_sums_take_no_table():
+    # A table of another prime would answer for this one (lhs 5, rhs 1 at
+    # p = 11 from p = 19's table), so none is taken; the lemma suite reads its
+    # own table and reports each power sum as verify_power_sums does.
+    params = LucasParams(1, -1)
+    rank = rank_of_appearance(params, 11)
+    foreign = compute_sums(params, rank_of_appearance(params, 19), 2)
+    with pytest.raises(TypeError):
+        verify_power_sums(params, rank, 2, table=foreign)
+    assert verify_power_sums(params, rank, 2).holds
+    for params in (LucasParams(1, -1), LucasParams(2, 1), LucasParams(3, 3)):
+        for rank in maximal_ranks(params, 7, 60):
+            lemmas = [r for r in verify_sum_lemmas(params, rank) if r.theorem_id == "power_sums"]
+            expected = [verify_power_sums(params, rank, nu) for nu in range(POWER_MAX + 1)
+                        if rank.p >= nu + 3]
+            assert lemmas == expected and all(r.holds for r in lemmas)
 
 
 def test_lemma_family_fibonacci_and_harmonic():

@@ -392,7 +392,7 @@ def test_sweep_reports_a_cell_that_fails_to_build(monkeypatch):
 @pytest.mark.parametrize(
     "part, theorems, cases",
     [("Cell", ("N", "LjWe", "P5_1", "P6"), 6), ("_block_terms", ("LjWe",), 2),
-     ("compute_sums", ("P5_1", "P5_2", "P6"), 3)],
+     ("compute_sums", ("P5_1", "P5_2", "P6"), 3), ("_v_and_ratio", ("P5_1", "P6"), 2)],
 )
 def test_sweep_builds_a_failing_part_once_per_cell(monkeypatch, part, theorems, cases):
     # A part that cannot be built is not built again for each case that needs
@@ -410,6 +410,38 @@ def test_sweep_builds_a_failing_part_once_per_cell(monkeypatch, part, theorems, 
     assert len(calls) == 1
     assert len(reports) == cases
     assert all(not r.holds and f"no {part}" in r.error for r in reports)
+
+
+def test_sweep_forms_the_ratio_once_per_cell(monkeypatch):
+    # The five central expansions of a cell share one (V_rho, U_rho/V_rho).
+    import lucanomial.theorems
+
+    calls = []
+    real = lucanomial.theorems._v_and_ratio
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lucanomial.theorems, "_v_and_ratio", counted)
+    reports = sweep([FIB], (11, 11), ("P5_1", "P5_2", "P5_3", "P5_4", "P6"))
+    assert len(calls) == 1
+    assert len(reports) == 5 and all(r.holds for r in reports)
+
+
+def test_twist_is_the_sign_and_q_power_of_each_right_side():
+    # At maximal rank rho - 1 = p - 1 - eps with p odd, so the sign (-1)^(rho-1)
+    # of P5 and P6 is N's (-1)^eps, and the one twist serves all of them.
+    for P in range(-5, 6):
+        for Q in [q for q in range(-5, 6) if q]:
+            params = LucasParams(P, Q)
+            for rank in maximal_ranks(params, 3, 199):
+                rho, eps, modulus = rank.rho, rank.epsilon, rank.p**3
+                assert (rho - 1) % 2 == eps % 2, (P, Q, rank.p)
+                twist = _Context(params, rank, 0, 3).twist
+                for e in range(26):
+                    expected = (-1) ** (e * eps % 2) * pow(Q, e * rho * (rho - 1) // 2, modulus)
+                    assert pow(twist, e, modulus) == expected % modulus, (P, Q, rank.p, e)
 
 
 def test_fifth_power_error_record_names_its_variant(monkeypatch):

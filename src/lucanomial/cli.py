@@ -239,17 +239,21 @@ def _fail(message: str) -> NoReturn:
 
 
 def _write(report, out_path) -> None:
-    """Write the text pieces of `report` in turn to `out_path`, which is
-    opened only now, or else to stdout as it is at the call.  A destination
-    that cannot be written exits 2: a stdout on a full disk, say, or one
-    whose reader closed early (`| head`)."""
+    """Write the text pieces of `report` in turn to `out_path`, or else to
+    stdout as it is at the call.  A regular or new `out_path` is replaced
+    once the last piece is in, so a write that fails keeps the earlier
+    report; any other (a FIFO, a symlink such as `/dev/stdout`) is opened
+    only now and written in place.  A destination that cannot be written
+    exits 2: a full disk, say, or a stdout whose reader closed early."""
     try:
-        if out_path:
+        if not out_path:
+            sys.stdout.writelines(report)
+            sys.stdout.flush()
+        elif os.path.islink(out_path) or os.path.exists(out_path) and not os.path.isfile(out_path):
             with open(out_path, "w") as fh:
                 fh.writelines(report)
         else:
-            sys.stdout.writelines(report)
-            sys.stdout.flush()
+            _replace_file(report, out_path)
     except OSError as exc:
         if not out_path:
             # What is still buffered goes to devnull, so the flush at
@@ -258,6 +262,20 @@ def _write(report, out_path) -> None:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         _fail(f"cannot write {out_path or 'to stdout'}: {exc.strerror or exc}")
+
+
+def _replace_file(report, path) -> None:
+    """Write `report` to a new file beside `path`, made as open(path, "w")
+    makes a new one, then move it over `path`; a write that fails removes it."""
+    head, tail = os.path.split(path)
+    spare = open(os.path.join(head, f".{tail}.{os.urandom(6).hex()}"), "x")
+    try:
+        with spare:
+            spare.writelines(report)
+        os.replace(spare.name, path)
+    except BaseException:
+        os.unlink(spare.name)
+        raise
 
 
 # A list of flat records in the layout json.dumps(..., indent=2) gives it

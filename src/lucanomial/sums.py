@@ -6,9 +6,10 @@ symmetric sums over distinct indices for every exponent multiset used by the
 fifth- and sixth-power congruences, and the weighted sums
 4 Q^t V_t^v / U_t^(v+2) for v <= 3.
 
-One walk of the U recurrence mod p^k gives U_1 .. U_rho, and the identity
-V_t = 2 U_{t+1} - P U_t gives V without a second walk.  The U_t are inverted
-all at once, with one modular inverse per (P, Q, p) cell.
+One walk of the U recurrence mod p^k gives U_1 .. U_{rho+1}, and the
+identity V_t = 2 U_{t+1} - P U_t gives V without a second walk, V_rho and
+U_rho/V_rho included.  The U_t are inverted all at once, with one modular
+inverse per (P, Q, p) cell.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations, islice, permutations
 from typing import NamedTuple, Sequence
 
-from .lucas import LucasParams, lucas_uv_mod, u_walk
+from .lucas import LucasParams, u_walk
 from .ranks import NonMaximalRankError, RankInfo, require_prime
 from .reports import CongruenceReport
 
@@ -59,6 +60,8 @@ class SumsTable(NamedTuple):
     power: tuple[int, ...]
     monomial: dict[tuple[int, ...], int]
     weighted: tuple[int, ...]
+    v_rho: int
+    ratio: int  # U_rho / V_rho
 
     @property
     def modulus(self) -> int:
@@ -142,11 +145,8 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
         raise ValueError("precision k must be positive")
     modulus = p**k
     P, Q = params.P, params.Q
-    # One walk gives U_0 .. U_rho; V_t = 2 U_{t+1} - P U_t needs no second one.
-    us = list(islice(u_walk(P, Q, modulus), rho + 1))
-    qs = [Q % modulus]
-    for _ in range(rho - 2):
-        qs.append(qs[-1] * Q % modulus)
+    # One walk gives U_0 .. U_{rho+1}; V_t = 2 U_{t+1} - P U_t needs no second one.
+    us = list(islice(u_walk(P, Q, modulus), rho + 2))
     # Montgomery's trick: U_1 .. U_{rho-1} are all units mod p (rho is the
     # first index with p | U_t), so their product is one, and one inverse of
     # it, walked back through the prefix products, gives every U_t^-1.  A rank
@@ -155,18 +155,20 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     for u in us[1:rho]:
         prefix.append(prefix[-1] * u % modulus)
     inv = pow(prefix[-1], -1, modulus)
-    invs = [0] * (rho - 1)
-    for t in range(rho - 1, 0, -1):
-        invs[t - 1] = inv * prefix[t - 1] % modulus
-        inv = inv * us[t] % modulus
-    xs = [(2 * u1 * iu - P) % modulus for u1, iu in zip(us[2:], invs)]
-    # One pass over the terms: x^2, x^3 and the weight 4 Q^t / U_t^2 once per
-    # t, and every sum left unreduced until the end.
+    q, q_inv = pow(Q, rho - 1, modulus), pow(Q, -1, modulus)
+    # One pass back over the terms: U_t^-1, x_t, x^2, x^3 and the weight
+    # 4 Q^t / U_t^2 once per t, and every sum left unreduced until the end.
+    xs = []
     s1 = s2 = s3 = s4 = s5 = w0 = w1 = w2 = w3 = 0
-    for x, q, iu in zip(xs, qs, invs):
+    for t in range(rho - 1, 0, -1):
+        iu = inv * prefix[t - 1] % modulus
+        inv = inv * us[t] % modulus
+        x = (2 * us[t + 1] * iu - P) % modulus
+        xs.append(x)
         x2 = x * x % modulus
         x3 = x2 * x % modulus
         w = 4 * q * iu * iu % modulus
+        q = q * q_inv % modulus
         s1 += x
         s2 += x2
         s3 += x3
@@ -176,13 +178,16 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
         w1 += w * x
         w2 += w * x2
         w3 += w * x3
-    power = tuple(s % modulus for s in (len(xs), s1, s2, s3, s4, s5))
+    power = tuple(s % modulus for s in (rho - 1, s1, s2, s3, s4, s5))
     weighted = tuple(w % modulus for w in (w0, w1, w2, w3))
     if p >= 7:
         monomial = _monomials_from_powers(power, modulus)
     else:
         monomial = {key: monomial_sum_direct(xs, key, modulus) for key in MONOMIAL_KEYS}
-    return SumsTable(params, p, rho, k, power, monomial, weighted)
+    # V_rho is a unit: V_rho^2 - D U_rho^2 = 4 Q^rho with p | U_rho.
+    v_rho = (2 * us[rho + 1] - P * us[rho]) % modulus
+    ratio = us[rho] * pow(v_rho, -1, modulus) % modulus
+    return SumsTable(params, p, rho, k, power, monomial, weighted, v_rho, ratio)
 
 
 def verify_power_sums(params: LucasParams, rank: RankInfo, nu: int) -> CongruenceReport:
@@ -220,12 +225,6 @@ def _power_sum_report(
     return CongruenceReport.of("power_sums", params, rank, {"k": nu}, j, table.power[nu], rhs)
 
 
-def _v_and_ratio(params: LucasParams, rho: int, modulus: int) -> tuple[int, int]:
-    """(V_rho, U_rho/V_rho) mod modulus, for the central expansions and sigma(1)'s reductions."""
-    u_r, v_r = lucas_uv_mod(params, rho, modulus)
-    return v_r, u_r * pow(v_r, -1, modulus) % modulus
-
-
 def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceReport]:
     """Verify every tabulated-sum law at its stated modulus for one maximal-rank
     prime p >= LEMMA_MIN_P (7); one report per instance.
@@ -261,14 +260,17 @@ def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceRep
 
     if rho % 2 == 0:
         # V at odd multiples of the rank: V_{k rho}/2 = -Q^(k rho / 2) mod p^2,
-        # and doubling any such index lands on 2 Q^t mod p^2.
+        # and doubling any such index lands on 2 Q^t mod p^2.  V_{j rho} is
+        # V_j of the pair (V_rho, Q^rho), the one LjWe's U' is built from, so
+        # one walk W of its U gives them all: V_j = 2 W_{j+1} - V_rho W_j.
         p2 = p * p
         inv2 = (p2 + 1) // 2
+        v_r = table.v_rho % p2
+        ws = list(islice(u_walk(v_r, pow(Q, rho, p2), p2), 12))
         for mult in (1, 3, 5):
             t = mult * rho
-            _, vt = lucas_uv_mod(params, t, p2)
+            vt, v2t = ((2 * ws[j + 1] - v_r * ws[j]) % p2 for j in (mult, 2 * mult))
             check("companion_odd_multiple", {"k": mult}, 2, vt * inv2, -pow(Q, t // 2, p2))
-            _, v2t = lucas_uv_mod(params, 2 * t, p2)
             check("companion_double", {"k": mult}, 2, v2t, 2 * pow(Q, t, p2))
 
     for nu in range(WEIGHTED_MAX + 1):
@@ -280,7 +282,7 @@ def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceRep
             error = "weighted sum disagrees with sigma(nu+2) - D sigma(nu)"
         check("weighted_sum", {"k": nu}, 2 if nu % 2 else 1, lhs, 0, error)
 
-    _, uv = _v_and_ratio(params, rho, M5)
+    uv = table.ratio
     check("sum_reflection", {}, 4, -2 * table.sigma(1), uv * table.weighted[0])
     half_term = pow(2, -1, M5) * (rho - 1) % M5 * D % M5
     rhs17 = uv * uv % M5 * ((table.sigma(1, 1) + half_term) % M5)

@@ -20,7 +20,7 @@ from .binomial import Cell, generalized_binomial, lucanomial_residue, rank_path,
 from .lucas import LucasParams, lucas_term, u_walk
 from .ranks import NonMaximalRankError, RankInfo, maximal_ranks, rank_of_appearance
 from .reports import CongruenceReport
-from .sums import SumsTable, _v_and_ratio, compute_sums
+from .sums import SumsTable, compute_sums
 
 __all__ = [
     "THEOREM_IDS",
@@ -93,11 +93,6 @@ class _Context:
         rho, modulus = self.rank.rho, self.rank.p**self.exponent
         sign = modulus - 1 if self.rank.epsilon % 2 else 1
         return sign * pow(self.params.Q, rho * (rho - 1) // 2, modulus) % modulus
-
-    @_once
-    def ratio(self) -> tuple[int, int]:
-        """(V_rho, U_rho/V_rho) mod p^exponent, for P5 and P6."""
-        return _v_and_ratio(self.params, self.rank.rho, self.rank.p**self.exponent)
 
 
 class _Theorem(NamedTuple):
@@ -273,7 +268,7 @@ def _central_expansion(
     rank, table = context.rank, context.table
     rho, modulus = rank.rho, p**j
     lhs = context.central % modulus
-    v_r, uv = (x % modulus for x in context.ratio)
+    v_r, uv = table.v_rho % modulus, table.ratio % modulus
     s1 = table.sigma(1) % modulus
     uv2 = uv * uv % modulus
     inv2 = pow(2, -1, modulus)

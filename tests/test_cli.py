@@ -446,6 +446,42 @@ def test_spool_that_fails_exits_two(tmp_path, monkeypatch, capsys):
     assert out.read_bytes() == b"an earlier report\n"
 
 
+def test_out_that_fails_midway_keeps_the_earlier_report(tmp_path, capsys):
+    # The report (about 930 KB) is written beside --out and moved over it
+    # only once whole, so a file-size limit of 600,000 bytes, met midway,
+    # leaves the earlier report and no partial file.
+    out = tmp_path / "prev.json"
+    argv = "verify --grid 2,2 --pmax 60 --format json --jobs 2 --out".split() + [str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    earlier = out.read_bytes()
+    assert len(earlier) > 600_000
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    assert out.stat().st_mode == plain.stat().st_mode  # not mkstemp's 0o600
+    plain.unlink()
+    code = (
+        "import resource, sys\n"
+        "from lucanomial.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (600_000, resource.RLIM_INFINITY))\n"
+        f"sys.exit(main({argv!r}))\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"lucanomial: error: cannot write {out}: File too large"
+    ]
+    assert out.read_bytes() == earlier
+    assert os.listdir(tmp_path) == ["prev.json"]
+    # A destination that is not a regular file is written in place.
+    assert main(argv[:-1] + [os.devnull]) == 0
+
+
 def test_pool_starts_no_more_workers_than_cells(monkeypatch, capsys):
     forks = []
     fork = os.fork

@@ -174,12 +174,39 @@ def test_compute_sums_matches_per_term_oracle():
                         }
                     else:
                         monomial = _monomials_from_powers(power, modulus)
+                    u_r, v_r = lucas_uv_mod(params, rank.rho, modulus)
+                    ratio = u_r * pow(v_r, -1, modulus) % modulus
                     assert (table.power, table.weighted, table.monomial) == (
                         power,
                         weighted,
                         monomial,
                     ), (P, Q, p, k)
+                    assert (table.v_rho, table.ratio) == (v_r, ratio), (P, Q, p, k)
     assert seen == {3, 5, "p >= 7", "nonmaximal", "p | D"}
+
+
+def test_companion_values_match_the_ladder():
+    # The lemma suite reads V at multiples of an even rank off one walk of
+    # U(V_rho, Q^rho); each value must be the ladder's V_{j rho} mod p^2.
+    cells = 0
+    for P in range(-5, 6):
+        for Q in [q for q in range(-5, 6) if q]:
+            params = LucasParams(P, Q)
+            for rank in maximal_ranks(params, 7, 199):
+                if rank.rho % 2:
+                    continue
+                cells += 1
+                p2 = rank.p**2
+                reports = [r for r in verify_sum_lemmas(params, rank)
+                           if r.theorem_id.startswith("companion_")]
+                assert len(reports) == 6, (P, Q, rank.p)
+                for r in reports:
+                    j = r.inputs["k"] * (2 if r.theorem_id == "companion_double" else 1)
+                    _, v = lucas_uv_mod(params, j * rank.rho, p2)
+                    if r.theorem_id == "companion_odd_multiple":
+                        v = v * pow(2, -1, p2) % p2
+                    assert r.lhs == v, (P, Q, rank.p, r.theorem_id, j)
+    assert cells > 100
 
 
 def test_power_sum_value_examples():

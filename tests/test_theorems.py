@@ -392,7 +392,7 @@ def test_sweep_reports_a_cell_that_fails_to_build(monkeypatch):
 @pytest.mark.parametrize(
     "part, theorems, cases",
     [("Cell", ("N", "LjWe", "P5_1", "P6"), 6), ("_block_terms", ("LjWe",), 2),
-     ("compute_sums", ("P5_1", "P5_2", "P6"), 3), ("_v_and_ratio", ("P5_1", "P6"), 2)],
+     ("compute_sums", ("P5_1", "P5_2", "P6"), 3)],
 )
 def test_sweep_builds_a_failing_part_once_per_cell(monkeypatch, part, theorems, cases):
     # A part that cannot be built is not built again for each case that needs
@@ -412,18 +412,19 @@ def test_sweep_builds_a_failing_part_once_per_cell(monkeypatch, part, theorems, 
     assert all(not r.holds and f"no {part}" in r.error for r in reports)
 
 
-def test_sweep_forms_the_ratio_once_per_cell(monkeypatch):
-    # The five central expansions of a cell share one (V_rho, U_rho/V_rho).
+def test_sweep_builds_the_sums_table_once_per_cell(monkeypatch):
+    # The five central expansions of a cell read V_rho, U_rho/V_rho and the
+    # sums from one table.
     import lucanomial.theorems
 
     calls = []
-    real = lucanomial.theorems._v_and_ratio
+    real = lucanomial.theorems.compute_sums
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(lucanomial.theorems, "_v_and_ratio", counted)
+    monkeypatch.setattr(lucanomial.theorems, "compute_sums", counted)
     reports = sweep([FIB], (11, 11), ("P5_1", "P5_2", "P5_3", "P5_4", "P6"))
     assert len(calls) == 1
     assert len(reports) == 5 and all(r.holds for r in reports)

@@ -164,15 +164,6 @@ def zero_cancellations(params: LucasParams, m: int, n: int) -> int:
     return min(_zero_terms(params, m, n)) if m >= n else 0
 
 
-def rank_path(params: LucasParams, p: int) -> bool:
-    """True iff the rank path (Cell) serves the odd prime p: p coprime to 2QD.
-
-    Its facts hold for every p not dividing 2Q (see the README); p | D stays
-    on the exact path while the sweeps are the benchmark's only route to it.
-    """
-    return (2 * params.Q * params.D) % p != 0
-
-
 class Cell:
     """Rank-path residue context for one (P, Q, p): binom(m, n)_U mod p^j for
     every 0 <= m <= m_max and 1 <= j <= k in constant time.
@@ -181,16 +172,14 @@ class Cell:
     U_1 .. U_t, prefix products of their units (U_t stripped of its powers
     of p, mod p^k) and prefix sums of their valuations, all from one
     recurrence pass mod p^(k + the largest valuation).  A Lucanomial is then
-    a ratio of prefix entries, the analogue of a factorial quotient.  Needs
-    p on the rank path (`rank_path`).
+    a ratio of prefix entries, the analogue of a factorial quotient.  Serves
+    every prime `require_prime` accepts.
     """
 
     def __init__(self, params: LucasParams, p: int, m_max: int, k: int) -> None:
         if k < 1:
             raise ValueError("precision k must be positive")
         require_prime(params, p)
-        if not rank_path(params, p):
-            raise ValueError(f"p = {p} is off the rank path of U({params.P}, {params.Q})")
         if m_max < 0:
             raise ValueError("indices must be nonnegative")
         self.params, self.p, self.m_max, self.k = params, p, m_max, k
@@ -251,30 +240,28 @@ def lucanomial_residue(
     n: int,
     p: int,
     k: int,
-    method: str = "auto",
+    method: str = "rank",
     cell: Cell | None = None,
 ) -> ValuedResidue:
     """Residue of binom(m, n)_U mod p^k as (valuation, unit mod p^k).
 
-    The "rank" path needs p on it (`rank_path`): each factor's valuation is
-    read off the ranks of p, p^2, ... and its unit from one recurrence pass
-    mod p^(k + v_max).  It is answered by `cell` when one is given (a Cell of
-    the same params and p with m <= m_max and k within its precision), else
-    by a one-shot Cell.  The "exact" path builds the integer value and
-    strips powers of p; it works for any odd prime p not dividing Q.  "auto"
-    picks the rank path whenever it is allowed.  Both paths agree exactly.
+    The "rank" path reads each factor's valuation off the ranks of p, p^2,
+    ... and its unit from one recurrence pass mod p^(k + v_max).  It is
+    answered by `cell` when one is given (a Cell of the same params and p
+    with m <= m_max and k within its precision), else by a one-shot Cell.
+    The "exact" path builds the integer value and strips powers of p.  Both
+    serve every prime `require_prime` accepts, and they agree exactly.
     A Cell, given or one-shot, checks p, k and the indices of the rank path.
     """
-    if method not in ("auto", "rank", "exact"):
+    if method not in ("rank", "exact"):
         raise ValueError(f"unknown method {method!r}")
-    if cell is not None and method != "exact":
+    if method == "exact":
+        require_prime(params, p)
+        if k < 1:
+            raise ValueError("precision k must be positive")
+        return ValuedResidue.from_integer(lucanomial_exact(params, m, n), p, k)
+    if cell is not None:
         if cell.p != p or cell.params != params:
             raise ValueError("cell belongs to another (P, Q, p)")
         return cell.residue(m, n, k)
-    if method != "rank":
-        require_prime(params, p)  # before rank_path, which divides by p
-        if method == "exact" or not rank_path(params, p):
-            if k < 1:
-                raise ValueError("precision k must be positive")
-            return ValuedResidue.from_integer(lucanomial_exact(params, m, n), p, k)
     return Cell(params, p, m, k).residue(m, n, k)

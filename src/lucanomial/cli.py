@@ -21,9 +21,9 @@ import sys
 import tempfile
 from typing import Callable, Iterator, NoReturn
 
-from .binomial import lucanomial_residue, rank_path
+from .binomial import lucanomial_residue
 from .lucas import LucasParams
-from .ranks import maximal_ranks, primes_in_range, rank_of_appearance
+from .ranks import accepts_prime, maximal_ranks, primes_in_range, rank_of_appearance
 from .reports import RECORD_FIELDS, CongruenceReport
 from .sums import LEMMA_MIN_P, compute_sums, verify_sum_lemmas
 from .theorems import THEOREM_IDS, sweep
@@ -210,13 +210,14 @@ def _work(worker, tasks, size, claims, offers, tell, spool) -> NoReturn:
 
 
 def _cross_check_reports(params_list, primes, count, seed) -> Iterator[CongruenceReport]:
-    """Seeded random fast-path vs exact-path residue comparisons on the run's
-    cells: a pair and a prime are drawn, and drawn again while off the rank path."""
-    if not any(rank_path(params, p) for params in params_list for p in primes):
+    """Seeded random rank-path vs exact-path residue comparisons on the run's
+    cells: a pair and a prime are drawn, and drawn again while `require_prime`
+    refuses them (p = 2, or p | Q)."""
+    if not any(accepts_prime(params, p) for params in params_list for p in primes):
         return
     rng = random.Random(seed)
     for _ in range(count):
-        while not rank_path(params := rng.choice(params_list), p := rng.choice(primes)):
+        while not accepts_prime(params := rng.choice(params_list), p := rng.choice(primes)):
             pass
         rank = rank_of_appearance(params, p)
         k = rng.randint(1, 4)

@@ -91,6 +91,15 @@ def require_prime(params: LucasParams, p: int) -> None:
         raise ValueError("p must be odd")
 
 
+def accepts_prime(params: LucasParams, p: int) -> bool:
+    """True iff `require_prime` accepts p for U(params)."""
+    try:
+        require_prime(params, p)
+    except ValueError:
+        return False
+    return True
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a | p) in {-1, 0, 1} by Euler's power criterion."""
     if p == 2 or not is_prime(p):

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .binomial import Cell, generalized_binomial, lucanomial_residue, rank_path, zero_cancellations
+from .binomial import Cell, generalized_binomial, lucanomial_residue, zero_cancellations
 from .lucas import LucasParams, lucas_term, u_walk
 from .ranks import NonMaximalRankError, RankInfo, maximal_ranks, rank_of_appearance
 from .reports import CongruenceReport
@@ -59,11 +59,8 @@ class _Context:
         self.failed: dict[str, Exception] = {}
 
     @_once
-    def cell(self) -> Cell | None:
-        """One residue context for every case, or None for p off `rank_path`,
-        where the cases take the exact path."""
-        if not rank_path(self.params, self.rank.p):
-            return None
+    def cell(self) -> Cell:
+        """One residue context for every case."""
         # N reaches m = (k+1) rho - 1 and its base case 2 rho - 1; LjWe m = k rho.
         m_max = (max(self.kmax, 1) + 1) * self.rank.rho - 1
         return Cell(self.params, self.rank.p, m_max, self.exponent)
@@ -71,10 +68,15 @@ class _Context:
     @_once
     def central(self) -> int:
         """binom(2 rho - 1, rho - 1)_U mod p^exponent: N's base case and the
-        left side of P5 and P6, each of which reduces it to its own modulus."""
-        p, rho = self.rank.p, self.rank.rho
+        left side of P5 and P6, each of which reduces it to its own modulus.
+        Where p | D the exact path forms it too, as a witness of the rank
+        path there, and a disagreement raises."""
+        params, p, rho, j = self.params, self.rank.p, self.rank.rho, self.exponent
         m, n = 2 * rho - 1, rho - 1
-        return lucanomial_residue(self.params, m, n, p, self.exponent, cell=self.cell).residue()
+        value = lucanomial_residue(params, m, n, p, j, cell=self.cell)
+        if self.rank.epsilon == 0 and value != lucanomial_residue(params, m, n, p, j, "exact"):
+            raise ArithmeticError(f"rank and exact paths disagree on binom({m}, {n})_U")
+        return value.residue()
 
     @_once
     def blocks(self) -> list[int]:
@@ -86,12 +88,11 @@ class _Context:
 
     @_once
     def twist(self) -> int:
-        """(-1)^eps Q^(rho(rho-1)/2) mod p^exponent, N's right side at k = 1:
-        its powers are the sign and Q-power of N and LjWe, and it is the
-        prefactor of P5_2..P5_4 and P6.  Those write the sign (-1)^(rho-1),
-        the same one: at maximal rank rho - 1 = p - 1 - eps with p odd."""
+        """(-1)^(rho-1) Q^(rho(rho-1)/2) mod p^exponent, N's right side at
+        k = 1: its powers are the sign and Q-power of N and LjWe, and it is
+        the prefactor of P5_2..P5_4 and P6."""
         rho, modulus = self.rank.rho, self.rank.p**self.exponent
-        sign = modulus - 1 if self.rank.epsilon % 2 else 1
+        sign = 1 if rho % 2 else modulus - 1
         return sign * pow(self.params.Q, rho * (rho - 1) // 2, modulus) % modulus
 
 

@@ -20,8 +20,8 @@ from lucanomial import (
     verify_ljunggren,
     verify_sum_lemmas,
 )
-from lucanomial.binomial import rank_path
 from lucanomial.lucas import uv_sequence
+from lucanomial.ranks import accepts_prime
 from oracles import check_identities_upto, integrality_sweep
 
 GRID = [LucasParams(P, Q) for P in range(-5, 6) for Q in range(-5, 6) if Q != 0]
@@ -179,7 +179,7 @@ def test_criterion_10_oracle_equivalence(capsys):
         eligible = []
         for params in GRID:
             for p in (5, 7, 11, 13, 17, 19, 23):
-                if rank_path(params, p):
+                if accepts_prime(params, p):
                     eligible.append((params, p))
         for _ in range(500):
             params, p = rng.choice(eligible)

@@ -77,9 +77,8 @@ def test_test_only_helpers_are_not_exported():
         assert not hasattr(lucanomial, name), name
     # Internals the package runs stay in their modules, out of its API.
     internal = {
-        "binomial": ("rank_path",),
         "lucas": ("u_walk", "uv_sequence"),
-        "ranks": ("rank_ladder", "maximal_ranks"),
+        "ranks": ("rank_ladder", "maximal_ranks", "accepts_prime"),
         "sums": ("MONOMIAL_KEYS",),
     }
     for module_name, names in internal.items():

@@ -21,8 +21,9 @@ from lucanomial import (
     rank_of_appearance,
     zero_cancellations,
 )
-from lucanomial.binomial import _convention_quotient, rank_path
+from lucanomial.binomial import _convention_quotient
 from lucanomial.lucas import uv_sequence
+from lucanomial.ranks import accepts_prime
 from oracles import integrality_sweep
 
 
@@ -181,8 +182,12 @@ def test_residue_rejects_bad_inputs():
     with pytest.raises(ValueError):
         lucanomial_residue(LucasParams(1, -1), 9, 4, 5, 0)
     with pytest.raises(ValueError):
-        # rank path is off limits when p divides 2QD
-        lucanomial_residue(LucasParams(2, 1), 10, 5, 5, 3, method="rank")
+        lucanomial_residue(LucasParams(1, -1), 9, 4, 5, 3, method="auto")
+    # p = 5 divides D = 0 of (2, 1): the rank path serves it, and gives the
+    # D = 0 closed form, here with U_t = t the ordinary binom(10, 5).
+    assert lucanomial_residue(LucasParams(2, 1), 10, 5, 5, 3, method="rank") == (
+        ValuedResidue.from_integer(comb(10, 5), 5, 3)
+    )
 
 
 @pytest.mark.parametrize("a", [1, -1, 2, -2, 3])
@@ -205,7 +210,7 @@ def test_rank_and_exact_paths_agree(P, Q):
     params = LucasParams(P, Q)
     rng = random.Random(20240 + P * 10 + Q)
     for p in (5, 7, 11, 13):
-        if not rank_path(params, p):
+        if not accepts_prime(params, p):
             continue
         for _ in range(12):
             m = rng.randint(0, 90)
@@ -219,11 +224,12 @@ def test_rank_and_exact_paths_agree(P, Q):
 @st.composite
 def cell_queries(draw):
     """A Cell over |P| <= 6, 1 <= |Q| <= 6 (degenerate pairs included) at a
-    prime 5 <= p <= 113 on the rank path, and (m, n, j) queries to it."""
+    prime 5 <= p <= 113 that `require_prime` accepts, and (m, n, j) queries
+    to it."""
     P = draw(st.integers(-6, 6))
     Q = draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1)))
     params = LucasParams(P, Q)
-    primes = [p for p in primes_in_range(5, 113) if rank_path(params, p)]
+    primes = [p for p in primes_in_range(5, 113) if accepts_prime(params, p)]
     assume(primes)
     p = draw(st.sampled_from(primes))
     rho = rank_of_appearance(params, p).rho
@@ -262,8 +268,7 @@ DEGENERATE = ((0, 5), (0, -3), (1, 1), (-2, 4), (2, 2), (-2, 2), (3, 3), (-3, 3)
 def symmetry_queries(draw):
     """(P, Q, p, m, n, k) with |P| <= 6, 1 <= |Q| <= 6 (a degenerate pair half
     the time), an odd prime 3 <= p <= 113 not dividing Q, 0 <= n <= m and
-    1 <= k <= 6; m is at most 6 rho on the rank path and 3 rho on the exact
-    one, which multiplies out bigints."""
+    1 <= k <= 6, with m at most 6 rho."""
     if draw(st.booleans()):
         P, Q = draw(st.sampled_from(DEGENERATE))
     else:
@@ -272,7 +277,7 @@ def symmetry_queries(draw):
     params = LucasParams(P, Q)
     p = draw(st.sampled_from([p for p in primes_in_range(3, 113) if Q % p]))
     rho = rank_of_appearance(params, p).rho
-    m = draw(st.integers(0, (6 if rank_path(params, p) else 3) * rho))
+    m = draw(st.integers(0, 6 * rho))
     n = draw(st.integers(0, m))
     k = draw(st.integers(1, 6))
     return params, p, m, n, k
@@ -287,18 +292,48 @@ def symmetry_queries(draw):
 @given(symmetry_queries())
 def test_symmetry_mod_prime_powers(case):
     params, p, m, n, k = case
-    if rank_path(params, p):
-        cell = Cell(params, p, m, k)
-        lhs, rhs = cell.residue(m, n, k), cell.residue(m, m - n, k)
-    else:
-        lhs = lucanomial_residue(params, m, n, p, k, method="exact")
-        rhs = lucanomial_residue(params, m, m - n, p, k, method="exact")
+    cell = Cell(params, p, m, k)
+    lhs, rhs = cell.residue(m, n, k), cell.residue(m, m - n, k)
     assert lhs == rhs
     zp = params.zero_period
     if zp is not None:
         # Zeros above the bar less zeros below: the same count for n and m - n.
         leftover = m // zp - n // zp - (m - n) // zp
         assert lhs.zero == (leftover > 0)
+
+
+@st.composite
+def path_queries(draw):
+    """(P, Q, p, m, n, k) with |P|, |Q| <= 5, an odd prime p < 60 not
+    dividing Q, m <= 4(p + 1), n <= m + 2 and 1 <= k <= 5.  A third of the
+    pairs are degenerate, and a third are drawn with p | D."""
+    kind = draw(st.sampled_from(("any", "degenerate", "p | D")))
+    if kind == "degenerate":
+        P, Q = draw(st.sampled_from(DEGENERATE))
+    else:
+        P = draw(st.integers(-5, 5))
+        Q = draw(st.integers(1, 5)) * draw(st.sampled_from((1, -1)))
+    params = LucasParams(P, Q)
+    primes = [p for p in primes_in_range(3, 59) if accepts_prime(params, p)]
+    if kind == "p | D":
+        primes = [p for p in primes if params.D % p == 0]
+    assume(primes)
+    p = draw(st.sampled_from(primes))
+    m = draw(st.integers(0, 4 * (p + 1)))
+    return params, p, m, draw(st.integers(0, m + 2)), draw(st.integers(1, 5))
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    database=None,
+)
+@given(path_queries())
+def test_rank_path_equals_exact_path(case):
+    params, p, m, n, k = case
+    rank = lucanomial_residue(params, m, n, p, k, method="rank")
+    assert rank == lucanomial_residue(params, m, n, p, k, method="exact")
 
 
 def test_cell_serves_lucanomial_residue():
@@ -314,19 +349,22 @@ def test_cell_serves_lucanomial_residue():
         cell.residue(30, 3, 6)  # beyond the precision
     with pytest.raises(ValueError):
         lucanomial_residue(LucasParams(1, 1), 30, 3, p, 3, cell=cell)  # another (P, Q)
-    with pytest.raises(ValueError):
-        Cell(LucasParams(2, 1), 5, 10, 3)  # p divides D = 0
+    # p = 5 divides D = 0 of (2, 1), where U_t = t: a Cell serves it, with the
+    # D = 0 closed form, the ordinary binom(m, n).
+    cell = Cell(LucasParams(2, 1), 5, 10, 3)
+    for m in range(11):
+        for n in range(m + 1):
+            assert cell.residue(m, n, 3) == ValuedResidue.from_integer(comb(m, n), 5, 3)
 
 
 def test_high_valuation_case_keeps_unit():
     # binom(5p, p) over U(1,2): ordinary-binomial analogue has positive valuation
     params = LucasParams(1, 2)
     p = 11
-    if rank_path(params, p):
-        fast = lucanomial_residue(params, 5 * 11, 11, p, 3, method="rank")
-        slow = lucanomial_residue(params, 5 * 11, 11, p, 3, method="exact")
-        assert fast == slow
-        assert fast.residue() == slow.residue()
+    fast = lucanomial_residue(params, 5 * 11, 11, p, 3, method="rank")
+    slow = lucanomial_residue(params, 5 * 11, 11, p, 3, method="exact")
+    assert fast == slow
+    assert fast.residue() == slow.residue()
 
 
 def test_valued_residue_arithmetic():

@@ -19,15 +19,16 @@ import pytest
 from lucanomial import (
     RECORD_FIELDS,
     THEOREM_IDS,
+    Cell,
     CongruenceReport,
     LucasParams,
+    ValuedResidue,
     primes_in_range,
     rank_of_appearance,
     sweep,
     verify_sum_lemmas,
 )
 from lucanomial import cli
-from lucanomial.binomial import rank_path
 from lucanomial.cli import _emit_records, _render, build_parser, main
 
 FIB = LucasParams(1, -1)
@@ -148,23 +149,48 @@ def test_cross_check_is_its_own_text_group(capsys):
     ]
 
 
-def test_cross_check_draws_only_rank_path_cells_of_the_run(capsys):
-    # D = 0 puts every p of (2, 1) off the rank path: nothing is drawn, and
-    # the run still ends.
-    assert main("verify --P 2 --Q 1 --pmax 30 --cross-check 5 --format json".split()) == 0
-    records = json.loads(capsys.readouterr().out)["records"]
-    assert records and not [r for r in records if r["theorem_id"] == "oracle"]
-    # On a grid, every draw is a cell of the run's pairs and primes on the
-    # rank path; the ones off it (p | 2QD) are drawn again.
-    argv = "verify --grid 2,2 --pmax 30 --cross-check 200 --format json"
+def test_cross_check_draws_only_accepted_cells_of_the_run(capsys):
+    # Every p of the run divides 2Q = 30, so `require_prime` refuses every
+    # cell: nothing is drawn, and the run still ends.
+    assert main("verify --P 1 --Q 15 --pmin 3 --pmax 5 --cross-check 5 --format json".split()) == 0
+    assert json.loads(capsys.readouterr().out)["records"] == []
+    # On a grid, every draw is a cell of the run's pairs and primes that
+    # `require_prime` accepts; the ones it refuses (p = 2, or p | Q) are drawn
+    # again, and the ones with p | D are drawn too.
+    argv = "verify --grid 3,3 --pmin 2 --pmax 30 --cross-check 200 --format json"
     assert main(argv.split()) == 0
     records = json.loads(capsys.readouterr().out)["records"]
     oracle = [r for r in records if r["theorem_id"] == "oracle"]
-    assert len(oracle) == 200
-    primes = primes_in_range(5, 30)
+    assert len(oracle) == 200 and all(r["holds"] for r in oracle)
+    primes = primes_in_range(2, 30)
     for r in oracle:
-        assert abs(r["P"]) <= 2 and 1 <= abs(r["Q"]) <= 2 and r["p"] in primes, r
-        assert rank_path(LucasParams(r["P"], r["Q"]), r["p"]), r
+        assert abs(r["P"]) <= 3 and 1 <= abs(r["Q"]) <= 3 and r["p"] in primes, r
+        assert (2 * r["Q"]) % r["p"] != 0, r
+    assert any((r["P"] ** 2 - 4 * r["Q"]) % r["p"] == 0 for r in oracle)
+
+
+def test_p_dividing_d_cell_is_witnessed_by_the_exact_path(monkeypatch, capsys):
+    # (2, 1) has D = 0, so p = 7 divides D; its rank 7 is maximal, and the
+    # cell has 32 checks.  With the cell's central binom(13, 6)_U off by one,
+    # the exact path's witness disagrees: every N, P5 and P6 record, which
+    # read the central value, carries it, LjWe's do not, and the run exits 1.
+    real = Cell.residue
+
+    def off_by_one(self, m, n, j):
+        r = real(self, m, n, j)
+        return ValuedResidue.from_integer(r.residue() + 1, r.p, j) if (m, n) == (13, 6) else r
+
+    monkeypatch.setattr(Cell, "residue", off_by_one)
+    argv = "verify --P 2 --Q 1 --pmin 7 --pmax 7 --format json --jobs 1"
+    assert main(argv.split()) == 1
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert len(records) == 32
+    for r in records:
+        if r["theorem_id"] == "LjWe":
+            assert r["holds"] and r["error"] is None, r
+        else:
+            assert not r["holds"] and "rank and exact paths disagree" in r["error"], r
+    assert {r["theorem_id"] for r in records if not r["holds"]} == {"N", *THEOREM_IDS[2:]}
 
 
 def test_jobs_default_is_the_usable_cpus(monkeypatch):

@@ -113,6 +113,7 @@ def test_rank_rejects_p_dividing_q():
 _ENTRIES = {
     "rank_of_appearance": lambda params, p, k, m, n: rank_of_appearance(params, p),
     "Cell": lambda params, p, k, m, n: Cell(params, p, m, k),
+    # The default method, which is "rank".
     "residue-auto": lambda params, p, k, m, n: lucanomial_residue(params, m, n, p, k),
     "residue-rank": lambda params, p, k, m, n: lucanomial_residue(params, m, n, p, k, "rank"),
     "residue-exact": lambda params, p, k, m, n: lucanomial_residue(params, m, n, p, k, "exact"),

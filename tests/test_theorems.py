@@ -376,8 +376,8 @@ def test_sweep_reports_each_case_when_the_cell_fails(monkeypatch):
 
 
 def test_sweep_reports_a_cell_that_fails_to_build(monkeypatch):
-    # A Cell that raises is not taken for p off the rank path: no case falls
-    # back to a one-shot Cell of its own, and each one reports the error.
+    # A Cell that raises is kept as the cell's failure: no case falls back to
+    # a one-shot Cell of its own, and each one reports the error.
     import lucanomial.theorems
 
     def broken_cell(*args):

@@ -59,8 +59,8 @@ def _cell_at(cell, params_list, primes, rest, i):
     return cell(params_list[i // len(primes)], primes[i % len(primes)], *rest)
 
 
-def _verify_cell(params, p, theorems, ks, ls, fmt) -> tuple[str, int, int] | None:
-    return _render(sweep([params], (p, p), theorems, ks, ls), fmt)
+def _verify_cell(params, p, theorems, ks, fmt) -> tuple[str, int, int] | None:
+    return _render(sweep([params], (p, p), theorems, ks), fmt)
 
 
 def _lemma_cell(params, p, fmt) -> tuple[str, int, int] | None:
@@ -378,10 +378,8 @@ def _finish(batches, args) -> int:
 def _run_verify(args, params_list) -> int:
     theorems = _expand_theorems(args.theorem or ["all"])
     ks = tuple(range(args.kmax + 1))
-    lmax = args.kmax if args.lmax is None else args.lmax
-    ls = tuple(range(lmax + 1))
     primes = primes_in_range(args.pmin, args.pmax)
-    rest = (theorems, ks, ls, args.format)
+    rest = (theorems, ks, args.format)
     worker = functools.partial(_cell_at, _verify_cell, params_list, primes, rest)
     batches = _map_cells(worker, range(len(params_list) * len(primes)), args.jobs)
     if args.cross_check:
@@ -547,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="theorem id to check (repeatable); default all",
     )
     v.add_argument("--kmax", type=_NONNEGATIVE, default=5)
-    v.add_argument("--lmax", type=_NONNEGATIVE, default=None)
     v.add_argument(
         "--cross-check",
         type=_NONNEGATIVE,

@@ -123,17 +123,22 @@ class RankInfo(NamedTuple):
     rho_prime_power: dict[int, int]
 
 
-def _prime_power_rank(params: LucasParams, p: int, a: int, rho_prev: int) -> int:
-    # p^a | U_t iff rank(p^a) | t, so rank(p^(a-1)) divides rank(p^a); and by
-    # Lucas's law of repetition (p odd, p not dividing Q) p^a | U_{p rho_prev},
-    # so rank(p^a) divides p * rho_prev.  The ratio divides the prime p: it is
-    # 1 or p, and those two multiples are the only ones worth probing.
-    mod = p**a
-    for j in (1, p):
-        u, _ = lucas_uv_mod(params, j * rho_prev, mod)
-        if u == 0:
-            return j * rho_prev
-    raise ArithmeticError(f"no rank of {p}^{a} at {rho_prev} or {p} * {rho_prev}")
+def _climb(params: LucasParams, p: int, rho: int) -> Iterator[int]:
+    # rank(p) = rho, rank(p^2), rank(p^3), ..., each probed only when asked
+    # for.  p^a | U_t iff rank(p^a) | t, so rank(p^(a-1)) divides rank(p^a);
+    # and by Lucas's law of repetition (p odd, p not dividing Q) p^a divides
+    # U at p rank(p^(a-1)).  The ratio divides the prime p: it is 1 or p, and
+    # those two multiples are the only ones worth probing.
+    rung, mod = rho, p
+    while True:
+        yield rung
+        mod *= p
+        for j in (1, p):
+            if lucas_uv_mod(params, j * rung, mod)[0] == 0:
+                break
+        else:
+            raise ArithmeticError(f"no rank mod {mod} at {rung} or {p} * {rung}")
+        rung *= j
 
 
 def rank_of_appearance(params: LucasParams, p: int, exponents: int = 1) -> RankInfo:
@@ -150,9 +155,7 @@ def rank_of_appearance(params: LucasParams, p: int, exponents: int = 1) -> RankI
     else:
         raise ArithmeticError(f"no rank of {p} found below {p + 2}")
     epsilon = legendre(params.D, p)
-    powers = {1: rho}
-    for a in range(2, exponents + 1):
-        powers[a] = _prime_power_rank(params, p, a, powers[a - 1])
+    powers = dict(enumerate(itertools.islice(_climb(params, p, rho), exponents), 1))
     return RankInfo(p, rho, epsilon, rho == p - epsilon, powers)
 
 
@@ -163,12 +166,11 @@ def rank_ladder(params: LucasParams, p: int, index_limit: int) -> list[int]:
     term of U: every later entry is a multiple of it, so it cannot divide the
     index of any nonzero term within range.  Requires p odd, p not dividing Q.
     """
-    ladder = [rank_of_appearance(params, p).rho]
-    zp = params.zero_period
-    a = 2
-    while ladder[-1] <= index_limit and not (zp is not None and ladder[-1] % zp == 0):
-        ladder.append(_prime_power_rank(params, p, a, ladder[-1]))
-        a += 1
+    ladder, zp = [], params.zero_period
+    for rung in _climb(params, p, rank_of_appearance(params, p).rho):
+        ladder.append(rung)
+        if rung > index_limit or (zp is not None and rung % zp == 0):
+            break
     return ladder
 
 
@@ -180,6 +182,7 @@ def maximal_ranks(
     for p in primes_in_range(max(p_min, 3), p_max):
         if params.Q % p == 0:
             continue
-        info = rank_of_appearance(params, p, exponents)
+        info = rank_of_appearance(params, p)
         if info.maximal:
-            yield info
+            climb = itertools.islice(_climb(params, p, info.rho), exponents)
+            yield info._replace(rho_prime_power=dict(enumerate(climb, 1)))

@@ -99,8 +99,8 @@ class _Context:
 class _Theorem(NamedTuple):
     min_p: int
     exponent: int
-    # The cases a sweep checks, from its k and l ranges.
-    cases: Callable[[Sequence[int], Sequence[int]], list[dict[str, int]]]
+    # The cases a sweep checks, from its k list.
+    cases: Callable[[Sequence[int]], list[dict[str, int]]]
     # One case checked in a cell.  It must look its verifier up by the
     # module-level name at each call: tracers patch those names.
     check: Callable[[_Context, dict[str, int]], CongruenceReport]
@@ -108,23 +108,23 @@ class _Theorem(NamedTuple):
 
 def _fifth_power(variant: int) -> _Theorem:
     return _Theorem(
-        7, 5, lambda ks, ls: [{"k": variant}],
+        7, 5, lambda ks: [{"k": variant}],
         lambda c, case: verify_fifth_power(c.params, c.rank.p, variant, c),
     )
 
 
 _THEOREMS: dict[str, _Theorem] = {
     "N": _Theorem(
-        5, 3, lambda ks, ls: [{"k": k} for k in ks],
+        5, 3, lambda ks: [{"k": k} for k in ks],
         lambda c, case: verify_wolstenholme(c.params, c.rank.p, case["k"], c),
     ),
     "LjWe": _Theorem(
-        5, 3, lambda ks, ls: [{"k": k, "l": l} for k in ks for l in ls if l <= k],
+        5, 3, lambda ks: [{"k": k, "l": l} for k in ks for l in ks if l <= k],
         lambda c, case: verify_ljunggren(c.params, c.rank.p, case["k"], case["l"], c),
     ),
     **{f"P5_{variant}": _fifth_power(variant) for variant in (1, 2, 3, 4)},
     "P6": _Theorem(
-        7, 6, lambda ks, ls: [{}],
+        7, 6, lambda ks: [{}],
         lambda c, case: verify_sixth_power(c.params, c.rank.p, c),
     ),
 }
@@ -298,7 +298,6 @@ def sweep(
     p_range: tuple[int, int],
     theorem_set: Sequence[str] = THEOREM_IDS,
     k_range: Iterable[int] | None = None,
-    l_range: Iterable[int] | None = None,
 ) -> list[CongruenceReport]:
     """Cartesian sweep over the grid, restricted to maximal-rank primes that
     meet each theorem's preconditions; deterministic (params, p, theorem, k, l)
@@ -309,7 +308,6 @@ def sweep(
         if tid not in _THEOREMS:
             raise ValueError(f"unknown theorem id {tid!r}")
     ks = list(k_range) if k_range is not None else list(range(6))
-    ls = list(l_range) if l_range is not None else ks
     kmax = max(ks, default=0)
     selected = [(tid, _THEOREMS[tid]) for tid in theorem_set]
     reports: list[CongruenceReport] = []
@@ -320,7 +318,7 @@ def sweep(
                 continue
             context = _Context(params, rank, kmax, max(theorem.exponent for _, theorem in here))
             for tid, theorem in here:
-                for case in theorem.cases(ks, ls):
+                for case in theorem.cases(ks):
                     try:
                         reports.append(theorem.check(context, case))
                     except Exception as exc:  # recorded, not raised: sweeps must finish

@@ -868,7 +868,6 @@ GRID_RULE = "must be PBOUND,QBOUND with PBOUND >= 0 and QBOUND >= 1"
     "argv, option, message",
     [
         ("verify --P 1 --Q -1 --pmax 20 --kmax -1", "--kmax", "must be >= 0, not -1"),
-        ("verify --P 1 --Q -1 --pmax 20 --lmax -2", "--lmax", "must be >= 0, not -2"),
         ("verify --P 1 --Q -1 --pmax 20 --cross-check -3", "--cross-check", "must be >= 0, not -3"),
         ("verify --P 1 --Q -1 --pmax 20 --jobs 0", "--jobs", "must be >= 1, not 0"),
         ("lemmas --P 1 --Q -1 --pmax 20 --jobs -1", "--jobs", "must be >= 1, not -1"),

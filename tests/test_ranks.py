@@ -290,6 +290,44 @@ def test_rank_ladder_counts_valuations_when_p_divides_d():
     assert (cells, terms) == (136, 113272)
 
 
+def test_rank_ladder_is_a_prefix_of_the_prime_power_ranks():
+    # The ladder and rank_of_appearance read one climb: the ladder's rungs
+    # are the first prime-power ranks.  (2, 2) at p = 5 stops on the zero
+    # term U_4.
+    for P in range(-5, 6):
+        for Q in range(-5, 6):
+            if Q == 0:
+                continue
+            params = LucasParams(P, Q)
+            for p in primes_in_range(3, 59):
+                if Q % p == 0:
+                    continue
+                ladder = rank_ladder(params, p, 2 * p * p)
+                powers = rank_of_appearance(params, p, len(ladder)).rho_prime_power
+                assert ladder == [powers[a] for a in range(1, len(ladder) + 1)], (P, Q, p)
+    assert rank_ladder(LucasParams(2, 2), 5, 2 * 5 * 5) == [4]
+
+
+def test_maximal_ranks_climbs_only_the_primes_it_yields(monkeypatch):
+    # Prime-power ranks past rho cost at most two probes a rung, and only
+    # the yielded primes are climbed: 3 rungs past rho, 6 probes a prime.
+    import lucanomial.ranks
+
+    probes = []
+
+    def counted(*args):
+        probes.append(args)
+        return lucas_uv_mod(*args)
+
+    monkeypatch.setattr(lucanomial.ranks, "lucas_uv_mod", counted)
+    params = LucasParams(1, -1)
+    infos = list(maximal_ranks(params, 5, 400, exponents=4))
+    assert len(probes) <= 6 * len(infos)
+    monkeypatch.undo()
+    assert infos == [rank_of_appearance(params, info.p, 4) for info in infos]
+    assert len(infos) == 30
+
+
 def test_find_maximal_rank_primes_fibonacci():
     infos = list(maximal_ranks(LucasParams(1, -1), 7, 30))
     assert [(i.p, i.rho) for i in infos] == [(7, 8), (11, 10), (19, 18), (23, 24)]

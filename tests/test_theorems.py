@@ -391,7 +391,7 @@ def test_sweep_reports_a_cell_that_fails_to_build(monkeypatch):
 
 @pytest.mark.parametrize(
     "part, theorems, cases",
-    [("Cell", ("N", "LjWe", "P5_1", "P6"), 7), ("_block_terms", ("LjWe",), 3),
+    [("Cell", ("N", "LjWe", "P6"), 6), ("_block_terms", ("LjWe",), 3),
      ("compute_sums", ("P5_1", "P5_2", "P6"), 3)],
 )
 def test_sweep_builds_a_failing_part_once_per_cell(monkeypatch, part, theorems, cases):

@@ -90,45 +90,41 @@ class LucasTerm(NamedTuple):
     V: int
 
 
-def _bits(n: int):
-    return map(int, bin(n)[2:]) if n else ()
+def _ladder(P: int, Q: int, n: int, modulus: int | None = None) -> tuple[int, int]:
+    """(U_n, U_{n+1}) of U(P, Q) by binary doubling, O(log n) steps, both terms
+    reduced mod `modulus` when one is given.
+
+    The addition formula at m = t and m = t + 1 doubles the index,
+    U_{2t} = 2 U_t U_{t+1} - P U_t^2 and U_{2t+1} = U_{t+1}^2 - Q U_t^2, and
+    a 1 bit then takes one step of the recurrence.
+    """
+    u, u1 = 0, 1
+    for bit in bin(n)[2:]:
+        square = u * u
+        u, u1 = 2 * u * u1 - P * square, u1 * u1 - Q * square
+        if bit == "1":
+            u, u1 = u1, P * u1 - Q * u
+        if modulus is not None:
+            u, u1 = u % modulus, u1 % modulus
+    return u, u1
 
 
 def lucas_term(params: LucasParams, n: int) -> LucasTerm:
-    """Exact (U_n, V_n) by binary double-and-add, O(log n) big-integer steps.
-
-    Doubling: U_{2t} = U_t V_t and V_{2t} = V_t^2 - 2 Q^t.  The odd step halves
-    P*U + V and D*U + P*V, both of which are always even.
-    """
+    """Exact (U_n, V_n) in O(log n) big-integer steps, V_n = 2 U_{n+1} - P U_n."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    P, Q, D = params.P, params.Q, params.D
-    u, v, q = 0, 2, 1
-    for bit in _bits(n):
-        u, v, q = u * v, v * v - 2 * q, q * q
-        if bit:
-            u, v, q = (P * u + v) // 2, (D * u + P * v) // 2, q * Q
-    return LucasTerm(n, u, v)
+    u, u1 = _ladder(params.P, params.Q, n)
+    return LucasTerm(n, u, 2 * u1 - params.P * u)
 
 
 def lucas_uv_mod(params: LucasParams, n: int, modulus: int) -> tuple[int, int]:
-    """(U_n mod modulus, V_n mod modulus) for an odd modulus >= 3."""
+    """(U_n mod modulus, V_n mod modulus) for any modulus >= 1."""
     if n < 0:
         raise ValueError("index must be nonnegative")
-    if modulus < 3 or modulus % 2 == 0:
-        raise ValueError("modulus must be odd and >= 3")
-    inv2 = (modulus + 1) // 2
-    P, Q, D = params.P % modulus, params.Q % modulus, params.D % modulus
-    u, v, q = 0, 2 % modulus, 1
-    for bit in _bits(n):
-        u, v, q = u * v % modulus, (v * v - 2 * q) % modulus, q * q % modulus
-        if bit:
-            u, v, q = (
-                (P * u + v) * inv2 % modulus,
-                (D * u + P * v) * inv2 % modulus,
-                q * Q % modulus,
-            )
-    return u, v
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
+    u, u1 = _ladder(params.P, params.Q, n, modulus)
+    return u, (2 * u1 - params.P * u) % modulus
 
 
 def uv_sequence(params: LucasParams, n_max: int) -> tuple[list[int], list[int]]:

@@ -73,10 +73,6 @@ class CongruenceReport(NamedTuple):
     def epsilon(self) -> int:
         return self.rank.epsilon
 
-    @property
-    def modulus(self) -> int:
-        return self.p**self.modulus_exponent
-
     def to_record(self) -> dict:
         """Flat record in the interchange schema (RECORD_FIELDS order)."""
         return {

@@ -150,6 +150,9 @@ def test_generalized_binomial_matches_ordinary():
             assert generalized_binomial(naturals, m, n) == comb(m, n)
     with pytest.raises(ValueError):
         generalized_binomial([0, 1, 1], 5, 2)  # values end before index m
+    for m, n in ((-1, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            generalized_binomial(naturals, m, n)
 
 
 def test_zero_cancellations_counts():

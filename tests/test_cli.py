@@ -23,6 +23,7 @@ from lucanomial import (
     CongruenceReport,
     LucasParams,
     ValuedResidue,
+    compute_sums,
     primes_in_range,
     rank_of_appearance,
     sweep,
@@ -859,6 +860,21 @@ def test_table_command(capsys):
     assert "S1 = 0" in text  # harmonic sum vanishes mod 49
     assert "S1,1,1,1,1" in text
     assert "SQ0" in text
+
+
+def test_table_command_json(capsys):
+    params = LucasParams(3, -2)
+    assert main(["table", "--P", "3", "--Q", "-2", "--p", "13", "--precision", "3",
+                 "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    table = compute_sums(params, rank_of_appearance(params, 13), 3)
+    assert (payload["P"], payload["Q"], payload["p"], payload["rho"]) == (3, -2, 13, table.rho)
+    assert payload["precision"] == 3
+    assert payload["modulus"] == str(13**3)
+    expected = {f"S{nu}": value for nu, value in enumerate(table.power)}
+    expected.update(("S" + ",".join(map(str, key)), value) for key, value in table.monomial.items())
+    expected.update((f"SQ{nu}", value) for nu, value in enumerate(table.weighted))
+    assert payload["sums"] == {key: str(value) for key, value in expected.items()}
 
 
 GRID_RULE = "must be PBOUND,QBOUND with PBOUND >= 0 and QBOUND >= 1"

@@ -106,8 +106,13 @@ def test_fast_doubling_matches_plain_recurrence(P, Q):
 
 
 def test_negative_index_rejected():
+    params = LucasParams(1, -1)
     with pytest.raises(ValueError):
-        lucas_term(LucasParams(1, -1), -1)
+        lucas_term(params, -1)
+    with pytest.raises(ValueError):
+        lucas_uv_mod(params, -1, 7)
+    with pytest.raises(ValueError):
+        uv_sequence(params, -1)
 
 
 @pytest.mark.parametrize("P,Q", [(1, -1), (3, 5), (2, 2), (-4, 3)])
@@ -135,9 +140,23 @@ def test_uv_sequence_lists_belong_to_the_caller():
     assert [len(x) for x in uv_sequence(params, 4)] == [5, 5]
 
 
-def test_modular_evaluation_needs_odd_modulus():
-    with pytest.raises(ValueError):
-        lucas_uv_mod(LucasParams(1, -1), 5, 10)
+def test_single_terms_match_the_walk_at_every_modulus():
+    # The doubling ladder only adds and multiplies, so any modulus >= 1 is
+    # served, the even ones and 1 included.
+    moduli = (1, 2, 4, 10, 2 * 3**5)
+    for P in range(-6, 7):
+        for Q in range(-6, 7):
+            if Q == 0:
+                continue
+            params = LucasParams(P, Q)
+            us, vs = uv_sequence(params, 300)
+            for n in range(301):
+                assert lucas_term(params, n) == (n, us[n], vs[n])
+                for m in moduli:
+                    assert lucas_uv_mod(params, n, m) == (us[n] % m, vs[n] % m)
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            lucas_uv_mod(LucasParams(1, -1), 5, m)
 
 
 @pytest.mark.parametrize("P,Q", SAMPLE_PARAMS)

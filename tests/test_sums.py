@@ -4,6 +4,7 @@ import pytest
 
 from lucanomial import (
     LucasParams,
+    NonMaximalRankError,
     compute_sums,
     lucas_uv_mod,
     monomial_sum_direct,
@@ -12,6 +13,7 @@ from lucanomial import (
     verify_power_sums,
     verify_sum_lemmas,
 )
+from lucanomial import sums
 from lucanomial.ranks import maximal_ranks
 from lucanomial.sums import MONOMIAL_KEYS, POWER_MAX, WEIGHTED_MAX, _monomials_from_powers
 
@@ -267,6 +269,30 @@ def test_lemma_family_requires_seven():
     params = LucasParams(2, 2)
     with pytest.raises(ValueError):
         verify_sum_lemmas(params, rank_of_appearance(params, 5))
+
+
+def test_lemma_family_refuses_a_non_maximal_rank():
+    params = LucasParams(1, -1)
+    rank = rank_of_appearance(params, 29)  # rho = 14, not 29 - 1
+    with pytest.raises(NonMaximalRankError):
+        verify_sum_lemmas(params, rank)
+
+
+def test_weighted_sum_inconsistency_is_reported(monkeypatch):
+    params = LucasParams(1, -1)
+    rank = rank_of_appearance(params, 7)
+    table = compute_sums(params, rank, 5)
+    # Off by p^4: the weighted sum's own law mod p^2 still holds, but it no
+    # longer equals sigma(3) - D sigma(1) mod p^5.
+    weighted = list(table.weighted)
+    weighted[1] = (weighted[1] + 7**4) % table.modulus
+    monkeypatch.setattr(sums, "compute_sums", lambda *args: table._replace(weighted=tuple(weighted)))
+    reports = {(r.theorem_id, r.inputs.get("k")): r for r in verify_sum_lemmas(params, rank)}
+    bad = reports[("weighted_sum", 1)]
+    assert bad.lhs == bad.rhs == 0
+    assert bad.error == "weighted sum disagrees with sigma(nu+2) - D sigma(nu)"
+    assert not bad.holds
+    assert [key for key, r in reports.items() if not r.holds] == [("weighted_sum", 1)]
 
 
 def test_quintuple_modulus_depends_on_p():

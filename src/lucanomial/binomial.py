@@ -191,11 +191,9 @@ class Cell:
         for r in ladder:
             for t in range(r, m_max + 1, r):
                 vals[t] += 1
-        # Stripping p^v from a term costs v digits: leave room for the largest.
-        # The rungs form a divisor chain, so v_p(U_t) peaks at the last rung in
-        # range that is a nonzero term, where it counts the rungs up to it; and
-        # a rung on a zero term can only be the ladder's last.
-        v_max = sum(r <= m_max and (zp is None or r % zp != 0) for r in ladder)
+        # Stripping p^v from a term costs v digits: leave room for the largest,
+        # at most the count of rungs in range, since they form a divisor chain.
+        v_max = sum(r <= m_max for r in ladder)
         modulus, pk = p ** (k + v_max), p**k
         prefix, vsum = [1] * (m_max + 1), [0] * (m_max + 1)
         terms = islice(u_walk(params.P, params.Q, modulus), 1, m_max + 1)

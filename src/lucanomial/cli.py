@@ -23,7 +23,7 @@ from typing import Callable, Iterator, NoReturn
 
 from .binomial import lucanomial_residue
 from .lucas import LucasParams
-from .ranks import accepts_prime, maximal_ranks, primes_in_range, rank_of_appearance
+from .ranks import RankInfo, accepts_prime, maximal_ranks, primes_in_range, rank_of_appearance
 from .reports import RECORD_FIELDS, CongruenceReport
 from .sums import LEMMA_MIN_P, compute_sums, verify_sum_lemmas
 from .theorems import THEOREM_IDS, sweep
@@ -398,29 +398,16 @@ def _run_search(args, params_list) -> int:
     # The prime-power exponents past rho's own, each shown as one more field.
     higher = range(2, args.exponents + 1)
     if args.format == "json":
-        payload = [
-            {
-                "P": params.P,
-                "Q": params.Q,
-                "p": info.p,
-                "rho": info.rho,
-                "epsilon": info.epsilon,
-                "maximal": info.maximal,
-                "rho_prime_power": {str(a): r for a, r in info.rho_prime_power.items()},
-            }
-            for params, info in rows
-        ]
+        # json writes the int exponents of rho_prime_power as string keys.
+        payload = [{"P": params.P, "Q": params.Q, **info._asdict()} for params, info in rows]
         text = json.dumps({"records": payload}, indent=2) + "\n"
     elif args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(
-            ["P", "Q", "p", "rho", "epsilon", "maximal"] + [f"rho_p{a}" for a in higher]
-        )
+        writer.writerow(["P", "Q", *RankInfo._fields[:-1], *(f"rho_p{a}" for a in higher)])
         for params, info in rows:
             writer.writerow(
-                [params.P, params.Q, info.p, info.rho, info.epsilon, info.maximal]
-                + [info.rho_prime_power[a] for a in higher]
+                [params.P, params.Q, *info[:-1], *(info.rho_prime_power[a] for a in higher)]
             )
         text = buf.getvalue()
     else:

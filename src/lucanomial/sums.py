@@ -137,7 +137,7 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     Multi-index sums come from the power sums through exact symmetric-function
     relations; for p in {3, 5} the divisions those need are not all invertible
     and the table (rank <= p+1 <= 6 there) is enumerated directly instead.
-    Refuses the rank's p as `ranks.require_prime` does.
+    Refuses p as `ranks.require_prime` does, then a rank that is not p's.
     """
     p, rho = rank.p, rank.rho
     require_prime(params, p)
@@ -149,12 +149,17 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     us = list(islice(u_walk(P, Q, modulus), rho + 2))
     # Montgomery's trick: U_1 .. U_{rho-1} are all units mod p (rho is the
     # first index with p | U_t), so their product is one, and one inverse of
-    # it, walked back through the prefix products, gives every U_t^-1.  A rank
-    # from other params makes the product a non-unit, and pow raises.
+    # it, walked back through the prefix products, gives every U_t^-1.  A rho
+    # past p's rank makes the product a non-unit, and pow raises; one below it
+    # leaves U_rho a unit.  epsilon must be (D | p), which Euler's criterion
+    # gives as 1, 0 or p - 1 mod p, and maximal must say rho = p - epsilon.
     prefix = [1]
     for u in us[1:rho]:
         prefix.append(prefix[-1] * u % modulus)
     inv = pow(prefix[-1], -1, modulus)
+    eps, euler = rank.epsilon, pow(params.D, (p - 1) // 2, p)
+    if rho < 1 or us[rho] % p or eps != (euler + 1) % p - 1 or rank.maximal != (rho == p - eps):
+        raise ValueError(f"{rank} is not the rank of {p} in U({P}, {Q})")
     q, q_inv = pow(Q, rho - 1, modulus), pow(Q, -1, modulus)
     # One pass back over the terms: U_t^-1, x_t, x^2, x^3 and the weight
     # 4 Q^t / U_t^2 once per t, and every sum left unreduced until the end.

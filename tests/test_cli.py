@@ -31,6 +31,7 @@ from lucanomial import (
 )
 from lucanomial import cli
 from lucanomial.cli import _emit_records, _render, build_parser, main
+from lucanomial.ranks import maximal_ranks
 
 FIB = LucasParams(1, -1)
 
@@ -798,6 +799,16 @@ def test_search_shows_prime_power_ranks_in_every_format(exponents, capsys):
     args = ["search", "--grid", "1,1", "--pmax", "30", "--exponents", str(exponents), "--format"]
     assert main(args + ["json"]) == 0
     records = json.loads(capsys.readouterr().out)["records"]
+    # Each record is its pair, then the RankInfo that maximal_ranks yields,
+    # field by field and in order; json writes the exponents as strings.
+    parsed = build_parser().parse_args(args + ["json"])
+    ranks = [
+        {"P": params.P, "Q": params.Q, **info._asdict()}
+        | {"rho_prime_power": {str(a): r for a, r in info.rho_prime_power.items()}}
+        for params in parsed.grid
+        for info in maximal_ranks(params, parsed.pmin, parsed.pmax, exponents)
+    ]
+    assert [list(r.items()) for r in records] == [list(r.items()) for r in ranks]
     fib5 = next(r for r in records if (r["P"], r["Q"], r["p"]) == (1, -1, 5))
     assert fib5["rho_prime_power"] == {a: 5 ** int(a) for a in ["1"] + higher}
     expected = [

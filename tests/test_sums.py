@@ -5,6 +5,7 @@ import pytest
 from lucanomial import (
     LucasParams,
     NonMaximalRankError,
+    RankInfo,
     compute_sums,
     lucas_uv_mod,
     monomial_sum_direct,
@@ -145,6 +146,31 @@ def test_compute_sums_validation():
     for k in (1, 2, 5):
         with pytest.raises(ValueError):
             compute_sums(params, rank_of_appearance(LucasParams(1, -1), 7), k)
+    # Only p's own rank is taken.  The Fibonacci rank of 11 is 10, with
+    # epsilon 1 and maximal; each forged field is refused, a rho past the
+    # rank by its non-unit product and any other by the rank's own checks.
+    fib = LucasParams(1, -1)
+    true = rank_of_appearance(fib, 11)
+    assert true == RankInfo(11, 10, 1, True, {1: 10})
+    forged = [
+        true._replace(rho=4, maximal=False),
+        true._replace(rho=6, maximal=False),
+        true._replace(rho=12, maximal=False),
+        true._replace(epsilon=-1),
+        true._replace(epsilon=0),
+        true._replace(maximal=False),
+    ]
+    for rank in forged:
+        for k in (1, 2, 5):
+            with pytest.raises(ValueError):
+                compute_sums(fib, rank, k)
+        # Taken on trust, a rho of 4 or 6 gives a false counterexample to the
+        # odd power sum, and an epsilon of -1 or 0 fails 5 lemma reports.
+        with pytest.raises(ValueError):
+            verify_power_sums(fib, rank, 1)
+        with pytest.raises(ValueError):
+            verify_sum_lemmas(fib, rank)
+    assert all(r.holds for r in verify_sum_lemmas(fib, true))
 
 
 def test_compute_sums_matches_per_term_oracle():
@@ -232,8 +258,10 @@ def test_power_sum_supplement_any_rank():
     for nu in (1, 3, 5):
         r = verify_power_sums(params, rank, nu)
         assert r.holds and r.modulus_exponent == 1
-    with pytest.raises(ValueError):
-        verify_power_sums(params, rank, 2)
+    # An even nu needs maximal rank; a nu outside 0..POWER_MAX is never tabulated.
+    for nu in (2, -1, POWER_MAX + 1):
+        with pytest.raises(ValueError):
+            verify_power_sums(params, rank, nu)
 
 
 def test_power_sums_take_no_table():

@@ -71,18 +71,20 @@ def _lemma_cell(params, p, fmt) -> tuple[str, int, int] | None:
 def _map_cells(worker, tasks, jobs) -> Iterator:
     """Each task's rendered cell, in task order, once every cell is spooled.
 
-    The tasks go out in chunks, each spooled as its id then its marshalled
-    cells to its worker's own unnamed temporary file.  With more than one job
-    and cell, forked workers check them (_fork_workers); else, or where
-    os.fork is missing, this process spools every chunk in turn.  Nothing is
-    yielded before the last chunk is spooled, so a cell that raises, or a
-    spool that fails (exit 2), ends the sweep before its report is begun.
-    The spools are then read back chunk by chunk in id order, so no more
-    than one chunk is held here.
+    The tasks go out in chunks, dealt in turn to the workers: of n workers,
+    worker w spools chunks w, w + n, w + 2n, ..., each as its marshalled
+    cells, to its own unnamed temporary file.  With more than one job and
+    cell, forked workers check them (_fork_workers); else, or where os.fork
+    is missing, this process spools every chunk in turn.  Nothing is yielded
+    before the last chunk is spooled, so a cell that raises, or a spool that
+    fails (exit 2), ends the sweep before its report is begun.  Chunk c is
+    then read back from spool c % n, in turn, so no more than one chunk is
+    held here.
     """
     workers = max(1, min(jobs, len(tasks))) if hasattr(os, "fork") else 1
-    # A rendered cell is a short string, so finer chunks cost little to spool
-    # and even out the finish: the slowest chunk no longer sets the tail.
+    # A rendered cell is a short string, so finer chunks cost little to spool,
+    # and dealt in turn they give every worker a share of each stretch of the
+    # sweep: within a (P, Q) the cells ascend in p, and so does their cost.
     size = max(1, len(tasks) // (workers * 16))
     chunks = range(-(-len(tasks) // size))
     with contextlib.ExitStack() as stack:
@@ -99,25 +101,19 @@ def _map_cells(worker, tasks, jobs) -> Iterator:
         try:
             for spool in spools:
                 spool.seek(0)
-            ahead = [spool.read(4) for spool in spools]
             for chunk in chunks:
-                # Each spool's ids ascend, so the next chunk's id is one spool's next.
-                i = ahead.index(chunk.to_bytes(4, "little"))
-                cells = marshal.load(spools[i])
-                ahead[i] = spools[i].read(4)
-                yield from cells
+                yield from marshal.load(spools[chunk % workers])
         except OSError as exc:
             _fail(f"cannot spool the report: {exc.strerror or exc}")
 
 
-def _spool_chunks(worker, tasks, size, ids, spool) -> str | None:
-    """Check each chunk whose id `ids` gives, and spool it as the id then its
+def _spool_chunks(worker, tasks, size, chunks, spool) -> str | None:
+    """Check each chunk that `chunks` numbers, in turn, and spool its
     marshalled cells.  Returns why the spool failed, or None when every chunk
     is in; a cell that raises propagates."""
-    for chunk in ids:
+    for chunk in chunks:
         cells = [worker(task) for task in tasks[chunk * size : (chunk + 1) * size]]
         try:
-            spool.write(chunk.to_bytes(4, "little"))
             marshal.dump(cells, spool)
             spool.flush()
         except OSError as exc:
@@ -126,35 +122,24 @@ def _spool_chunks(worker, tasks, size, ids, spool) -> str | None:
 
 def _fork_workers(worker, tasks, size, chunks, spools, stack) -> str | None:
     """Fork one worker per spool and wait for every one; `stack` closes the
-    pipes and kills what is left of the workers.  Every chunk id waits in one
-    pipe, and a worker claims the next id whenever it is free, so one that
-    finishes early takes more work.  Returns why a worker's spool failed, or
-    None; a worker whose cell raised makes this raise."""
+    pipe and kills what is left of the workers.  Worker w of n takes the
+    fixed share chunks[w::n], so the workers need no word from here.
+    Returns why a worker's spool failed, or None; a worker whose cell raised
+    makes this raise."""
     pids: list[int] = []
     # On any way out of the sweep, no worker is left running or unreaped.
     stack.callback(_reap, pids)
-    claims, offers = _pipe(stack)
-    reasons, tell = _pipe(stack)
+    read_fd, write_fd = os.pipe()
+    reasons = stack.enter_context(open(read_fd, "rb", 0))
+    tell = stack.enter_context(open(write_fd, "wb", 0))
     # What is still buffered would otherwise be written by every child too.
     sys.stdout.flush()
     sys.stderr.flush()
-    for spool in spools:
+    for w, spool in enumerate(spools):
         pid = os.fork()
         if pid == 0:
-            _work(worker, tasks, size, claims, offers, tell, spool)
+            _work(worker, tasks, size, chunks[w :: len(spools)], tell, spool)
         pids.append(pid)
-    # Once the workers alone hold the read end, a write fails rather
-    # than blocks should they all be gone.
-    claims.close()
-    tell.close()
-    try:
-        for chunk in chunks:
-            # 4 bytes is below PIPE_BUF: each write, and so each 4-byte
-            # read, moves one whole id.
-            offers.write(chunk.to_bytes(4, "little"))
-    except BrokenPipeError:
-        pass  # every worker is gone; their exit statuses say why
-    offers.close()
     while pids:
         code = os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1])
         del pids[0]
@@ -163,13 +148,6 @@ def _fork_workers(worker, tasks, size, chunks, spools, stack) -> str | None:
             return reasons.read(4096).decode().partition("\n")[0]
         if code:
             raise RuntimeError(f"a sweep worker exited with status {code}")
-
-
-def _pipe(stack: contextlib.ExitStack) -> tuple:
-    """A new pipe's read and write ends, as unbuffered files `stack` closes."""
-    read_fd, write_fd = os.pipe()
-    reader = stack.enter_context(open(read_fd, "rb", 0))
-    return reader, stack.enter_context(open(write_fd, "wb", 0))
 
 
 def _reap(pids: list[int]) -> None:
@@ -183,18 +161,14 @@ def _reap(pids: list[int]) -> None:
         os.waitpid(pid, 0)
 
 
-def _work(worker, tasks, size, claims, offers, tell, spool) -> NoReturn:
-    """A forked worker: spool the chunks whose ids it claims from `claims`
-    until it is empty.  It leaves only through os._exit, so it flushes
-    nothing it inherited.  It exits 0 when done; 2 when its spool failed,
-    after sending the reason to `tell`; and 1, with the traceback on stderr,
-    when a cell raised."""
+def _work(worker, tasks, size, chunks, tell, spool) -> NoReturn:
+    """A forked worker: spool its share of the chunks, `chunks`.  It leaves
+    only through os._exit, so it flushes nothing it inherited.  It exits 0
+    when done; 2 when its spool failed, after sending the reason to `tell`;
+    and 1, with the traceback on stderr, when a cell raised."""
     code = 0
     try:
-        offers.close()  # else the workers never see the end of the claims
-        claimed = iter(functools.partial(claims.read, 4), b"")
-        ids = (int.from_bytes(claim, "little") for claim in claimed)
-        if reason := _spool_chunks(worker, tasks, size, ids, spool):
+        if reason := _spool_chunks(worker, tasks, size, chunks, spool):
             tell.write(f"{reason}\n".encode())
             code = 2
     except BaseException:

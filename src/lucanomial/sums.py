@@ -145,6 +145,9 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
         raise ValueError("precision k must be positive")
     modulus = p**k
     P, Q = params.P, params.Q
+    # Every rank is at most p + 1, so a rho past it is refused before its walk.
+    if not 1 <= rho <= p + 1:
+        raise ValueError(f"{rank} is not the rank of {p} in U({P}, {Q})")
     # One walk gives U_0 .. U_{rho+1}; V_t = 2 U_{t+1} - P U_t needs no second one.
     us = list(islice(u_walk(P, Q, modulus), rho + 2))
     # Montgomery's trick: U_1 .. U_{rho-1} are all units mod p (rho is the
@@ -158,7 +161,7 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
         prefix.append(prefix[-1] * u % modulus)
     inv = pow(prefix[-1], -1, modulus)
     eps, euler = rank.epsilon, pow(params.D, (p - 1) // 2, p)
-    if rho < 1 or us[rho] % p or eps != (euler + 1) % p - 1 or rank.maximal != (rho == p - eps):
+    if us[rho] % p or eps != (euler + 1) % p - 1 or rank.maximal != (rho == p - eps):
         raise ValueError(f"{rank} is not the rank of {p} in U({P}, {Q})")
     q, q_inv = pow(Q, rho - 1, modulus), pow(Q, -1, modulus)
     # One pass back over the terms: U_t^-1, x_t, x^2, x^3 and the weight
@@ -242,9 +245,10 @@ def verify_sum_lemmas(params: LucasParams, rank: RankInfo) -> list[CongruenceRep
     p, rho, eps = rank.p, rank.rho, rank.epsilon
     if p < LEMMA_MIN_P:
         raise ValueError(f"the lemma family needs p >= {LEMMA_MIN_P}")
+    # The table refuses a rank that is not p's: only then is its maximal flag trusted.
+    table = compute_sums(params, rank, 5)
     if not rank.maximal:
         raise NonMaximalRankError(f"rank of {p} is {rho}, not {p - eps}")
-    table = compute_sums(params, rank, 5)
     M5 = table.modulus
     D, Q = params.D, params.Q
     reports = [

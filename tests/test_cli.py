@@ -575,15 +575,23 @@ def test_report_passes_through_tmpdir_once(tmp_path, monkeypatch):
 
 def test_parallel_output_matches_serial_on_uneven_chunks(tmp_path):
     # 12 cells over 3 workers, chunks of one cell; then 160 cells in 54
-    # chunks of 3, the last chunk holding one cell.
-    for args in ("verify --grid 1,1 --pmax 7", "verify --grid 2,2 --theorem N --kmax 1 --pmax 29"):
+    # chunks of 3, the last chunk holding one cell.  Dealt over 7 workers,
+    # the 160 one-cell chunks leave one worker a share shorter than the rest,
+    # and so do the lemma sweep's 280 cells in 56 chunks of 5 over 3.
+    sweep_n = "verify --grid 2,2 --theorem N --kmax 1 --pmax 29"
+    for args, jobs in (
+        ("verify --grid 1,1 --pmax 7", "3"),
+        (sweep_n, "3"),
+        (sweep_n, "7"),
+        ("lemmas --grid 2,2 --pmax 60", "3"),
+    ):
         for fmt in ORACLES:
             argv = args.split() + ["--format", fmt]
             serial = tmp_path / "serial.out"
             parallel = tmp_path / "parallel.out"
             assert main(argv + ["--jobs", "1", "--out", str(serial)]) == 0
-            assert main(argv + ["--jobs", "3", "--out", str(parallel)]) == 0
-            assert serial.read_bytes() == parallel.read_bytes(), argv
+            assert main(argv + ["--jobs", jobs, "--out", str(parallel)]) == 0
+            assert serial.read_bytes() == parallel.read_bytes(), (argv, jobs)
 
 
 def test_worker_whose_cell_raises_fails_the_sweep(tmp_path, monkeypatch, capfd):

@@ -1,5 +1,7 @@
 """Sum tables: direct-sum oracles, symmetric-function relations, lemma suite."""
 
+import tracemalloc
+
 import pytest
 
 from lucanomial import (
@@ -171,6 +173,28 @@ def test_compute_sums_validation():
         with pytest.raises(ValueError):
             verify_sum_lemmas(fib, rank)
     assert all(r.holds for r in verify_sum_lemmas(fib, true))
+    # A forged maximal flag is refused as a forged rank, not taken for a
+    # non-maximal one; the true rank of 29, 14 = (29 - 1) / 2, is refused as
+    # non-maximal.
+    with pytest.raises(ValueError, match="is not the rank of 11 in U") as err:
+        verify_sum_lemmas(fib, true._replace(maximal=False))
+    assert type(err.value) is ValueError
+    with pytest.raises(NonMaximalRankError, match="rank of 29 is 14, not 28"):
+        verify_sum_lemmas(fib, rank_of_appearance(fib, 29))
+
+
+def test_compute_sums_refuses_a_rho_past_p_plus_one_before_its_walk():
+    # Every rank is at most p + 1: a rho of a million is refused before a
+    # walk of a million terms is made and kept.
+    forged = RankInfo(11, 10**6, 1, False, {})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="is not the rank of 11 in U"):
+            compute_sums(LucasParams(1, -1), forged, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_compute_sums_matches_per_term_oracle():

@@ -124,21 +124,18 @@ class RankInfo(NamedTuple):
 
 
 def _climb(params: LucasParams, p: int, rho: int) -> Iterator[int]:
-    # rank(p) = rho, rank(p^2), rank(p^3), ..., each probed only when asked
-    # for.  p^a | U_t iff rank(p^a) | t, so rank(p^(a-1)) divides rank(p^a);
-    # and by Lucas's law of repetition (p odd, p not dividing Q) p^a divides
-    # U at p rank(p^(a-1)).  The ratio divides the prime p: it is 1 or p, and
-    # those two multiples are the only ones worth probing.
+    # rank(p) = rho, rank(p^2), rank(p^3), ..., each found only when asked
+    # for.  By Lucas's exact law of repetition (README fact (b); p odd, p not
+    # dividing Q) v_p(U_t) = e + v_p(t / rho) for every multiple t of rho,
+    # with e = v_p(U_rho).  So rank(p^a) is rho while p^a | U_rho, and each
+    # rung after the first miss is p times the one before: U_rho is probed
+    # only while the rung is rho, and never after.
     rung, mod = rho, p
     while True:
         yield rung
         mod *= p
-        for j in (1, p):
-            if lucas_uv_mod(params, j * rung, mod)[0] == 0:
-                break
-        else:
-            raise ArithmeticError(f"no rank mod {mod} at {rung} or {p} * {rung}")
-        rung *= j
+        if rung > rho or lucas_uv_mod(params, rho, mod)[0]:
+            rung *= p
 
 
 def rank_of_appearance(params: LucasParams, p: int, exponents: int = 1) -> RankInfo:

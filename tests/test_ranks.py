@@ -234,7 +234,7 @@ def scanned_prime_power_ranks(params, p, exponents):
     return powers
 
 
-def test_two_probe_ladder_matches_full_scan():
+def test_ladder_matches_full_scan():
     # Every |P|, |Q| <= 6 and odd prime p <= 113 not dividing Q, p | D
     # included: 4,446 ladders, 13,338 rungs past the first.
     checked = 0
@@ -260,23 +260,35 @@ def test_rank_ladder_stops_at_zero_terms():
     assert len(ladder) <= 2
 
 
-def test_rank_ladder_counts_valuations_when_p_divides_d():
-    # The rank path needs (a) p^a | U_t iff rank(p^a) | t and (b) each rung
-    # of the ladder is 1 or p times the one before.  Neither uses p not
-    # dividing D: then the rungs dividing t count v_p(U_t) exactly.  Checked
-    # for |P|, |Q| <= 5 at each odd prime p < 50 with p | D and p not
-    # dividing Q (the D = 0 pairs at every such p), for t <= 2 p^2.
+@pytest.mark.parametrize(
+    "dividing, p_max, t_max, counts",
+    [
+        pytest.param(True, 49, lambda p: 2 * p * p, (136, 113272), id="p|D"),
+        pytest.param(
+            False, 13, lambda p: p * p * (p + 1) if p <= 5 else 2 * p * p, (422, 74096), id="p!|D"
+        ),
+    ],
+)
+def test_rank_ladder_counts_valuations(dividing, p_max, t_max, counts):
+    # The rank path needs (a) p^a | U_t iff rank(p^a) | t and (b) the exact
+    # law v_p(U_t) = v_p(U_rho) + v_p(t / rho) for rho | t; neither uses p
+    # not dividing D.  Then the rungs dividing t count v_p(U_t) exactly.
+    # Checked for |P|, |Q| <= 5 and t <= t_max(p) at each odd prime p not
+    # dividing Q: with p | D for p < 50 (the D = 0 pairs at every such p),
+    # and with p not dividing D for p <= 13.  There t reaches p^2 rho at
+    # p <= 5, and 38 cells have rank(p^2) = rho, among them e = 3 at
+    # (+-5, -1, 3) and (+-5, 3, 7).
     cells = terms = 0
     for P in range(-5, 6):
         for Q in range(-5, 6):
             if Q == 0:
                 continue
             params = LucasParams(P, Q)
-            for p in primes_in_range(3, 49):
-                if Q % p == 0 or params.D % p:
+            for p in primes_in_range(3, p_max):
+                if Q % p == 0 or (params.D % p == 0) != dividing:
                     continue
-                ladder = rank_ladder(params, p, 2 * p * p)
-                us = uv_sequence(params, 2 * p * p)[0]
+                ladder = rank_ladder(params, p, t_max(p))
+                us = uv_sequence(params, t_max(p))[0]
                 for t, u in enumerate(us[1:], 1):
                     if u == 0:
                         continue
@@ -287,7 +299,7 @@ def test_rank_ladder_counts_valuations_when_p_divides_d():
                     assert v == sum(t % r == 0 for r in ladder), (P, Q, p, t)
                     terms += 1
                 cells += 1
-    assert (cells, terms) == (136, 113272)
+    assert (cells, terms) == counts
 
 
 def test_rank_ladder_is_a_prefix_of_the_prime_power_ranks():
@@ -309,8 +321,10 @@ def test_rank_ladder_is_a_prefix_of_the_prime_power_ranks():
 
 
 def test_maximal_ranks_climbs_only_the_primes_it_yields(monkeypatch):
-    # Prime-power ranks past rho cost at most two probes a rung, and only
-    # the yielded primes are climbed: 3 rungs past rho, 6 probes a prime.
+    # By the law of repetition a climb probes U_rho alone, and only while
+    # the rung is rho, however many exponents it is asked for; and only the
+    # yielded primes are climbed.  None of the 30 maximal primes of (1, -1)
+    # in 5..400 has p^2 | U_rho, so each costs one probe, mod p^2.
     import lucanomial.ranks
 
     probes = []
@@ -319,13 +333,15 @@ def test_maximal_ranks_climbs_only_the_primes_it_yields(monkeypatch):
         probes.append(args)
         return lucas_uv_mod(*args)
 
-    monkeypatch.setattr(lucanomial.ranks, "lucas_uv_mod", counted)
     params = LucasParams(1, -1)
-    infos = list(maximal_ranks(params, 5, 400, exponents=4))
-    assert len(probes) <= 6 * len(infos)
-    monkeypatch.undo()
-    assert infos == [rank_of_appearance(params, info.p, 4) for info in infos]
-    assert len(infos) == 30
+    for exponents in (4, 12):
+        probes.clear()
+        monkeypatch.setattr(lucanomial.ranks, "lucas_uv_mod", counted)
+        infos = list(maximal_ranks(params, 5, 400, exponents))
+        monkeypatch.undo()
+        assert probes == [(params, info.rho, info.p**2) for info in infos]
+        assert infos == [rank_of_appearance(params, info.p, exponents) for info in infos]
+        assert len(infos) == 30
 
 
 def test_find_maximal_rank_primes_fibonacci():

@@ -156,26 +156,29 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     # past p's rank makes the product a non-unit, and pow raises; one below it
     # leaves U_rho a unit.  epsilon must be (D | p), which Euler's criterion
     # gives as 1, 0 or p - 1 mod p, and maximal must say rho = p - epsilon.
-    prefix = [1]
+    prefix, acc = [1], 1
     for u in us[1:rho]:
-        prefix.append(prefix[-1] * u % modulus)
-    inv = pow(prefix[-1], -1, modulus)
+        acc = acc * u % modulus
+        prefix.append(acc)
+    inv = pow(acc, -1, modulus)
     eps, euler = rank.epsilon, pow(params.D, (p - 1) // 2, p)
     if us[rho] % p or eps != (euler + 1) % p - 1 or rank.maximal != (rho == p - eps):
         raise ValueError(f"{rank} is not the rank of {p} in U({P}, {Q})")
-    q, q_inv = pow(Q, rho - 1, modulus), pow(Q, -1, modulus)
-    # One pass back over the terms: U_t^-1, x_t, x^2, x^3 and the weight
-    # 4 Q^t / U_t^2 once per t, and every sum left unreduced until the end.
-    xs = []
+    # One pass back over the terms, t = rho-1 .. 1, with q = 4 Q^t.  Only what
+    # the next step reads is reduced: U_t^-1, the running inverse, x_t, the
+    # weight 4 Q^t / U_t^2 and q.  x^2, x^3 and the nine sums grow unreduced
+    # and are reduced once, at the end.  The x_t are kept only for p < 7,
+    # whose table is enumerated from them.
+    q, q_inv = 4 * pow(Q, rho - 1, modulus) % modulus, pow(Q, -1, modulus)
+    xs = [] if p < 7 else None
     s1 = s2 = s3 = s4 = s5 = w0 = w1 = w2 = w3 = 0
-    for t in range(rho - 1, 0, -1):
-        iu = inv * prefix[t - 1] % modulus
-        inv = inv * us[t] % modulus
-        x = (2 * us[t + 1] * iu - P) % modulus
-        xs.append(x)
-        x2 = x * x % modulus
-        x3 = x2 * x % modulus
-        w = 4 * q * iu * iu % modulus
+    for u, u_next, before in zip(us[rho - 1 : 0 : -1], us[rho:1:-1], prefix[rho - 2 :: -1]):
+        iu = inv * before % modulus
+        inv = inv * u % modulus
+        x = (2 * u_next * iu - P) % modulus
+        x2 = x * x
+        x3 = x2 * x
+        w = q * iu * iu % modulus
         q = q * q_inv % modulus
         s1 += x
         s2 += x2
@@ -186,9 +189,11 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
         w1 += w * x
         w2 += w * x2
         w3 += w * x3
+        if xs is not None:
+            xs.append(x)
     power = tuple(s % modulus for s in (rho - 1, s1, s2, s3, s4, s5))
     weighted = tuple(w % modulus for w in (w0, w1, w2, w3))
-    if p >= 7:
+    if xs is None:
         monomial = _monomials_from_powers(power, modulus)
     else:
         monomial = {key: monomial_sum_direct(xs, key, modulus) for key in MONOMIAL_KEYS}

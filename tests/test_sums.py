@@ -237,6 +237,21 @@ def test_compute_sums_matches_per_term_oracle():
     assert seen == {3, 5, "p >= 7", "nonmaximal", "p | D"}
 
 
+@pytest.mark.parametrize("P,Q,p", [(1, -1, 1019), (1, -1, 2003), (-3, 5, 1033), (-3, 5, 2003)])
+def test_compute_sums_matches_per_term_oracle_at_large_p(P, Q, p):
+    # The sums are left unreduced until the end, so they are widest at large
+    # p and k: maximal ranks of both epsilon, for a negative P too.
+    params = LucasParams(P, Q)
+    rank = rank_of_appearance(params, p)
+    assert rank.maximal
+    for k in (5, 6):
+        modulus = p**k
+        table = compute_sums(params, rank, k)
+        assert (table.power, table.weighted) == oracle_sums(params, rank.rho, modulus), k
+        u_r, v_r = lucas_uv_mod(params, rank.rho, modulus)
+        assert (table.v_rho, table.ratio) == (v_r, u_r * pow(v_r, -1, modulus) % modulus), k
+
+
 def test_companion_values_match_the_ladder():
     # The lemma suite reads V at multiples of an even rank off one walk of
     # U(V_rho, Q^rho); each value must be the ladder's V_{j rho} mod p^2.

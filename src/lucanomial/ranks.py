@@ -100,12 +100,16 @@ def accepts_prime(params: LucasParams, p: int) -> bool:
     return True
 
 
+def _euler(a: int, p: int) -> int:
+    # (a | p) by Euler's criterion, for an odd prime p the caller has checked.
+    return (pow(a, (p - 1) // 2, p) + 1) % p - 1
+
+
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a | p) in {-1, 0, 1} by Euler's power criterion."""
+    """Legendre symbol (a | p) in {-1, 0, 1}; ValueError unless p is an odd prime."""
     if p == 2 or not is_prime(p):
         raise ValueError("p must be an odd prime")
-    r = pow(a % p, (p - 1) // 2, p)
-    return -1 if r == p - 1 else r
+    return _euler(a, p)
 
 
 class RankInfo(NamedTuple):
@@ -113,7 +117,8 @@ class RankInfo(NamedTuple):
 
     rho is the least t > 0 with p | U_t; epsilon the Legendre symbol (D | p);
     maximal means rho = p - epsilon.  rho_prime_power maps an exponent a to
-    the least t > 0 with p^a | U_t, for every exponent computed so far.
+    the least t > 0 with p^a | U_t: {1: rho} from `rank_of_appearance`, and
+    a = 1 .. exponents from `maximal_ranks`.
     """
 
     p: int
@@ -138,11 +143,11 @@ def _climb(params: LucasParams, p: int, rho: int) -> Iterator[int]:
             rung *= p
 
 
-def rank_of_appearance(params: LucasParams, p: int, exponents: int = 1) -> RankInfo:
+def rank_of_appearance(params: LucasParams, p: int) -> RankInfo:
     """Rank of p in U by direct scan of U_t mod p for t = 1, 2, ..., p+1.
 
-    Prime-power ranks are filled in for 1 <= a <= exponents.  Refuses p as
-    `require_prime` does.
+    rho_prime_power is {1: rho}; `maximal_ranks` climbs the higher ones.
+    Refuses p as `require_prime` does, its one primality test.
     """
     require_prime(params, p)
     terms = itertools.islice(u_walk(params.P, params.Q, p), 1, p + 2)
@@ -151,9 +156,8 @@ def rank_of_appearance(params: LucasParams, p: int, exponents: int = 1) -> RankI
             break
     else:
         raise ArithmeticError(f"no rank of {p} found below {p + 2}")
-    epsilon = legendre(params.D, p)
-    powers = dict(enumerate(itertools.islice(_climb(params, p, rho), exponents), 1))
-    return RankInfo(p, rho, epsilon, rho == p - epsilon, powers)
+    epsilon = _euler(params.D, p)
+    return RankInfo(p, rho, epsilon, rho == p - epsilon, {1: rho})
 
 
 def rank_ladder(params: LucasParams, p: int, index_limit: int) -> list[int]:

@@ -18,14 +18,13 @@ from itertools import combinations, islice, permutations
 from typing import NamedTuple, Sequence
 
 from .lucas import LucasParams, u_walk
-from .ranks import NonMaximalRankError, RankInfo, require_prime
+from .ranks import NonMaximalRankError, RankInfo, _euler, require_prime
 from .reports import CongruenceReport
 
 __all__ = [
     "SumsTable",
     "compute_sums",
     "monomial_sum_direct",
-    "verify_power_sums",
     "verify_sum_lemmas",
 ]
 
@@ -154,15 +153,15 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     # first index with p | U_t), so their product is one, and one inverse of
     # it, walked back through the prefix products, gives every U_t^-1.  A rho
     # past p's rank makes the product a non-unit, and pow raises; one below it
-    # leaves U_rho a unit.  epsilon must be (D | p), which Euler's criterion
-    # gives as 1, 0 or p - 1 mod p, and maximal must say rho = p - epsilon.
+    # leaves U_rho a unit.  epsilon must be (D | p), and maximal must say
+    # rho = p - epsilon.
     prefix, acc = [1], 1
     for u in us[1:rho]:
         acc = acc * u % modulus
         prefix.append(acc)
     inv = pow(acc, -1, modulus)
-    eps, euler = rank.epsilon, pow(params.D, (p - 1) // 2, p)
-    if us[rho] % p or eps != (euler + 1) % p - 1 or rank.maximal != (rho == p - eps):
+    eps = rank.epsilon
+    if us[rho] % p or eps != _euler(params.D, p) or rank.maximal != (rho == p - eps):
         raise ValueError(f"{rank} is not the rank of {p} in U({P}, {Q})")
     # One pass back over the terms, t = rho-1 .. 1, with q = 4 Q^t.  Only what
     # the next step reads is reduced: U_t^-1, the running inverse, x_t, the
@@ -203,24 +202,17 @@ def compute_sums(params: LucasParams, rank: RankInfo, k: int) -> SumsTable:
     return SumsTable(params, p, rho, k, power, monomial, weighted, v_rho, ratio)
 
 
-def verify_power_sums(params: LucasParams, rank: RankInfo, nu: int) -> CongruenceReport:
-    """Check the value of the power sum sigma(nu) at its stated modulus.
+def _power_sum_report(
+    params: LucasParams, rank: RankInfo, nu: int, table: SumsTable
+) -> CongruenceReport:
+    """The report on the power sum sigma(nu) at its stated modulus, read from
+    `table`, the sums of (params, rank) mod p^k for some k >= 2.
 
     At maximal rank (and p >= nu + 3): 0 mod p^2 for odd nu; for even nu,
     0 mod p when epsilon is 0 or -1 and -2 D^(nu/2) mod p when epsilon is 1;
     exception: nu = 0 with epsilon = 0 gives -1 mod p.  At any rank, odd nu
     still gives 0 mod p.
     """
-    if not 0 <= nu <= POWER_MAX:
-        raise ValueError(f"nu must be in 0..{POWER_MAX}")
-    return _power_sum_report(params, rank, nu, compute_sums(params, rank, 2))
-
-
-def _power_sum_report(
-    params: LucasParams, rank: RankInfo, nu: int, table: SumsTable
-) -> CongruenceReport:
-    """verify_power_sums's report, read from `table`, the sums of (params,
-    rank) mod p^k for some k >= 2."""
     p, eps = rank.p, rank.epsilon
     if rank.maximal and p >= nu + 3:
         if nu % 2:

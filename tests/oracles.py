@@ -1,17 +1,22 @@
-"""Whole-range checks the tests use as oracles; the package itself never runs them."""
+"""Checks the tests use as oracles, over whole ranges or one case at a time;
+the package itself never runs them."""
 
 from itertools import islice
 
 from lucanomial import (
+    CongruenceReport,
     ConventionViolation,
     LucasParams,
     NonIntegralError,
+    RankInfo,
+    compute_sums,
     generalized_binomial,
     is_prime,
     legendre,
     lucas_uv_mod,
 )
 from lucanomial.lucas import u_walk, uv_sequence
+from lucanomial.sums import POWER_MAX, _power_sum_report
 
 
 def check_identities_upto(params: LucasParams, s_max: int) -> bool:
@@ -69,3 +74,14 @@ def integrality_sweep(params: LucasParams, m_max: int) -> bool:
             except (NonIntegralError, ConventionViolation):
                 return False
     return True
+
+
+def verify_power_sums(params: LucasParams, rank: RankInfo, nu: int) -> CongruenceReport:
+    """The report on the power sum sigma(nu), 0 <= nu <= 5, at its stated
+    modulus, from a table of its own mod p^2: the lemma suite's report for
+    that nu, also at a rank that is not maximal, where odd nu still gives
+    0 mod p.  No table is taken from the caller, so a table of another prime
+    cannot answer for this one."""
+    if not 0 <= nu <= POWER_MAX:
+        raise ValueError(f"nu must be in 0..{POWER_MAX}")
+    return _power_sum_report(params, rank, nu, compute_sums(params, rank, 2))

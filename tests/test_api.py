@@ -38,7 +38,6 @@ PUBLIC = [
     "sweep",
     "verify_fifth_power",
     "verify_ljunggren",
-    "verify_power_sums",
     "verify_sixth_power",
     "verify_sum_lemmas",
     "verify_wolstenholme",
@@ -52,6 +51,7 @@ GONE = (
     "euler_criterion_check",
     "integrality_sweep",
     "lucas_range",
+    "verify_power_sums",
 )
 
 

@@ -1,9 +1,11 @@
 """Primality, Legendre symbol and rank-of-appearance behavior."""
 
 import random
+from itertools import islice
 
 import pytest
 
+import lucanomial.ranks
 from lucanomial import (
     Cell,
     LucasParams,
@@ -20,6 +22,16 @@ from lucanomial import (
 from lucanomial.lucas import uv_sequence
 from lucanomial.ranks import maximal_ranks, rank_ladder
 from oracles import euler_criterion_check
+
+
+def climbed_ranks(params, p, exponents):
+    """rank(p^a) for a = 1 .. exponents: from `maximal_ranks` where p is
+    maximal, and for any other p straight from the climb it reads."""
+    rank = rank_of_appearance(params, p)
+    if rank.maximal:
+        [info] = maximal_ranks(params, p, p, exponents)
+        return info.rho_prime_power
+    return dict(enumerate(islice(lucanomial.ranks._climb(params, p, rank.rho), exponents), 1))
 
 
 def naive_rank(params, p, limit=None):
@@ -100,6 +112,22 @@ def test_rank_examples():
     assert (info.rho, info.maximal) == (7, False)
     info = rank_of_appearance(LucasParams(2, 1), 11)
     assert (info.rho, info.epsilon, info.maximal) == (11, 0, True)
+
+
+def test_rank_tests_primality_once(monkeypatch):
+    # require_prime's test is the only one: epsilon comes from Euler's
+    # criterion without a second, p | D included.
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(lucanomial.ranks, "is_prime", counted)
+    for params, p in [(LucasParams(1, -1), 5), (LucasParams(1, -1), 11), (LucasParams(2, 1), 7)]:
+        calls.clear()
+        rank_of_appearance(params, p)
+        assert calls == [p]
 
 
 def test_rank_rejects_p_dividing_q():
@@ -199,19 +227,19 @@ def test_prime_power_ranks_characterize_divisibility(P, Q):
     for p in (3, 5, 7):
         if params.Q % p == 0:
             continue
-        info = rank_of_appearance(params, p, exponents=3)
-        us = uv_sequence(params, 3 * info.rho_prime_power[3])[0]
+        powers = climbed_ranks(params, p, 3)
+        us = uv_sequence(params, 3 * powers[3])[0]
         for a in (1, 2, 3):
-            rho_a = info.rho_prime_power[a]
-            assert rho_a % info.rho == 0
+            rho_a = powers[a]
+            assert rho_a % powers[1] == 0
             for t in range(1, 3 * rho_a + 1):
                 if t < len(us):
                     assert (us[t] % p**a == 0) == (t % rho_a == 0)
 
 
 def test_prime_power_ranks_nest():
-    info = rank_of_appearance(LucasParams(1, -1), 7, exponents=4)
-    ladder = [info.rho_prime_power[a] for a in (1, 2, 3, 4)]
+    powers = climbed_ranks(LucasParams(1, -1), 7, 4)
+    ladder = [powers[a] for a in (1, 2, 3, 4)]
     for lower, higher in zip(ladder, ladder[1:]):
         assert higher % lower == 0
 
@@ -246,8 +274,8 @@ def test_ladder_matches_full_scan():
             for p in primes_in_range(3, 113):
                 if Q % p == 0:
                     continue
-                info = rank_of_appearance(params, p, exponents=4)
-                assert info.rho_prime_power == scanned_prime_power_ranks(params, p, 4), (P, Q, p)
+                expected = scanned_prime_power_ranks(params, p, 4)
+                assert climbed_ranks(params, p, 4) == expected, (P, Q, p)
                 checked += 1
     assert checked == 4446
 
@@ -303,9 +331,8 @@ def test_rank_ladder_counts_valuations(dividing, p_max, t_max, counts):
 
 
 def test_rank_ladder_is_a_prefix_of_the_prime_power_ranks():
-    # The ladder and rank_of_appearance read one climb: the ladder's rungs
-    # are the first prime-power ranks.  (2, 2) at p = 5 stops on the zero
-    # term U_4.
+    # The ladder's rungs are the first prime-power ranks, as the scan finds
+    # them.  (2, 2) at p = 5 stops on the zero term U_4.
     for P in range(-5, 6):
         for Q in range(-5, 6):
             if Q == 0:
@@ -315,7 +342,7 @@ def test_rank_ladder_is_a_prefix_of_the_prime_power_ranks():
                 if Q % p == 0:
                     continue
                 ladder = rank_ladder(params, p, 2 * p * p)
-                powers = rank_of_appearance(params, p, len(ladder)).rho_prime_power
+                powers = scanned_prime_power_ranks(params, p, len(ladder))
                 assert ladder == [powers[a] for a in range(1, len(ladder) + 1)], (P, Q, p)
     assert rank_ladder(LucasParams(2, 2), 5, 2 * 5 * 5) == [4]
 
@@ -325,8 +352,6 @@ def test_maximal_ranks_climbs_only_the_primes_it_yields(monkeypatch):
     # the rung is rho, however many exponents it is asked for; and only the
     # yielded primes are climbed.  None of the 30 maximal primes of (1, -1)
     # in 5..400 has p^2 | U_rho, so each costs one probe, mod p^2.
-    import lucanomial.ranks
-
     probes = []
 
     def counted(*args):
@@ -340,7 +365,9 @@ def test_maximal_ranks_climbs_only_the_primes_it_yields(monkeypatch):
         infos = list(maximal_ranks(params, 5, 400, exponents))
         monkeypatch.undo()
         assert probes == [(params, info.rho, info.p**2) for info in infos]
-        assert infos == [rank_of_appearance(params, info.p, exponents) for info in infos]
+        assert [info.rho_prime_power for info in infos] == [
+            scanned_prime_power_ranks(params, info.p, exponents) for info in infos
+        ]
         assert len(infos) == 30
 
 

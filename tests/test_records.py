@@ -11,10 +11,10 @@ from lucanomial import (
     RankInfo,
     ValuedResidue,
     lucanomial_residue,
-    rank_of_appearance,
     sweep,
     theorems,
 )
+from lucanomial.ranks import maximal_ranks
 
 FIB = LucasParams(1, -1)
 PAIRS = [(P, Q) for P in range(-5, 6) for Q in range(-5, 6) if Q != 0]
@@ -60,7 +60,7 @@ def test_params_equality_and_hash_follow_p_and_q():
 
 
 def test_records_survive_pickle_and_copy():
-    rank = rank_of_appearance(FIB, 11, 2)
+    [rank] = maximal_ranks(FIB, 11, 11, 2)
     residue = ValuedResidue(5, 3, 1, 7)
     for record in (FIB, LucasParams(2, 2), rank, residue, ValuedResidue.exact_zero(5, 3)):
         assert pickle.loads(pickle.dumps(record)) == record
@@ -73,7 +73,8 @@ def test_records_keep_their_repr():
     assert repr(LucasParams(2, 2)) == (
         "LucasParams(P=2, Q=2, D=-4, zero_period=4, degenerate=True)"
     )
-    assert repr(rank_of_appearance(FIB, 11, 2)) == RANK_REPR
+    [rank] = maximal_ranks(FIB, 11, 11, 2)
+    assert repr(rank) == RANK_REPR
     assert repr(ValuedResidue(5, 3, 1, 7)) == (
         "ValuedResidue(p=5, k=3, valuation=1, unit=7, zero=False)"
     )
@@ -87,7 +88,7 @@ def test_error_column_carries_record_reprs(monkeypatch):
         raise ArithmeticError(params, context.rank)
 
     monkeypatch.setattr(theorems, "verify_wolstenholme", failing_check)
-    rank = rank_of_appearance(FIB, 11, 1)
+    [rank] = maximal_ranks(FIB, 11, 11, 1)
     [report] = sweep([FIB], (11, 11), ("N",), [1])
     assert report.rank == rank and not report.holds
     assert report.to_record()["error"] == f"ArithmeticError({FIB_REPR}, {rank!r})"

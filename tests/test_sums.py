@@ -13,12 +13,12 @@ from lucanomial import (
     monomial_sum_direct,
     primes_in_range,
     rank_of_appearance,
-    verify_power_sums,
     verify_sum_lemmas,
 )
 from lucanomial import sums
 from lucanomial.ranks import maximal_ranks
 from lucanomial.sums import MONOMIAL_KEYS, POWER_MAX, WEIGHTED_MAX, _monomials_from_powers
+from oracles import verify_power_sums
 
 
 def ratios(params, rho, modulus):
@@ -151,28 +151,38 @@ def test_compute_sums_validation():
     # Only p's own rank is taken.  The Fibonacci rank of 11 is 10, with
     # epsilon 1 and maximal; each forged field is refused, a rho past the
     # rank by its non-unit product and any other by the rank's own checks.
-    fib = LucasParams(1, -1)
+    # At p = 7, which divides D = 0 of (2, 1), the rank is 7 and epsilon 0;
+    # an epsilon of 1 or -1 is refused also where the maximal flag agrees
+    # with it.
+    fib, nat = LucasParams(1, -1), LucasParams(2, 1)
     true = rank_of_appearance(fib, 11)
     assert true == RankInfo(11, 10, 1, True, {1: 10})
+    true_nat = rank_of_appearance(nat, 7)
+    assert true_nat == RankInfo(7, 7, 0, True, {1: 7})
     forged = [
-        true._replace(rho=4, maximal=False),
-        true._replace(rho=6, maximal=False),
-        true._replace(rho=12, maximal=False),
-        true._replace(epsilon=-1),
-        true._replace(epsilon=0),
-        true._replace(maximal=False),
+        (fib, true._replace(rho=4, maximal=False)),
+        (fib, true._replace(rho=6, maximal=False)),
+        (fib, true._replace(rho=12, maximal=False)),
+        (fib, true._replace(epsilon=-1)),
+        (fib, true._replace(epsilon=0)),
+        (fib, true._replace(maximal=False)),
+    ] + [
+        (nat, true_nat._replace(epsilon=eps, maximal=maximal))
+        for eps in (1, -1)
+        for maximal in (True, False)
     ]
-    for rank in forged:
+    for params, rank in forged:
         for k in (1, 2, 5):
             with pytest.raises(ValueError):
-                compute_sums(fib, rank, k)
+                compute_sums(params, rank, k)
         # Taken on trust, a rho of 4 or 6 gives a false counterexample to the
         # odd power sum, and an epsilon of -1 or 0 fails 5 lemma reports.
         with pytest.raises(ValueError):
-            verify_power_sums(fib, rank, 1)
+            verify_power_sums(params, rank, 1)
         with pytest.raises(ValueError):
-            verify_sum_lemmas(fib, rank)
+            verify_sum_lemmas(params, rank)
     assert all(r.holds for r in verify_sum_lemmas(fib, true))
+    assert all(r.holds for r in verify_sum_lemmas(nat, true_nat))
     # A forged maximal flag is refused as a forged rank, not taken for a
     # non-maximal one; the true rank of 29, 14 = (29 - 1) / 2, is refused as
     # non-maximal.
